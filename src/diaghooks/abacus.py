@@ -19,6 +19,7 @@ from .errors import (
     NotSymmetric,
     TooFewBeads,
     WrongQuotientLength,
+    require_modulus,
 )
 from .partitions import Partition
 
@@ -31,8 +32,7 @@ class Abacus:
     beads: BetaSet
 
     def __post_init__(self):
-        if self.p < 2:
-            raise BadModulus(f"p must be >= 2, got {self.p}")
+        require_modulus(self.p)
         if len(self.beads) % self.p != 0:
             raise BadModulus(f"bead count {len(self.beads)} is not a multiple of {self.p}")
 
@@ -59,8 +59,7 @@ def _canonical_bead_count(la: Partition, p: int) -> int:
 
 def to_abacus(la: Partition, p: int, bead_count: int | None = None) -> Abacus:
     """Abacus layout of la; bead_count (a multiple of p) overrides the default."""
-    if p < 2:
-        raise BadModulus(f"p must be >= 2, got {p}")
+    require_modulus(p)
     k = _canonical_bead_count(la, p) if bead_count is None else bead_count
     if k % p != 0:
         raise BadModulus(f"bead count {k} is not a multiple of {p}")
@@ -94,8 +93,7 @@ def core_and_quotient(la: Partition, p: int) -> tuple[Partition, tuple[Partition
 
 def is_p_core(la: Partition, p: int) -> bool:
     """Direct check: no bead sits exactly p above a space."""
-    if p < 2:
-        raise BadModulus(f"p must be >= 2, got {p}")
+    require_modulus(p)
     x = beta_of(la, len(la.parts))
     return not any(b >= p and (b - p) not in x for b in x.beads)
 
@@ -114,8 +112,7 @@ def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: in
     Inverse of (p_core, p_quotient): lay out the core, then replace each
     runner's bead rows by the encoding of the corresponding component.
     """
-    if p < 2:
-        raise BadModulus(f"p must be >= 2, got {p}")
+    require_modulus(p)
     quotient = tuple(quotient)
     if len(quotient) != p:
         raise WrongQuotientLength(f"expected {p} components, got {len(quotient)}")
@@ -159,8 +156,7 @@ def classify_p_hook(la: Partition, p: int, hook: BetaHook) -> PHookClass:
     Straddling hooks correspond to diagonal cells of the runner component,
     right-of-axis hooks to arm cells, left-of-axis hooks to leg cells.
     """
-    if p < 2:
-        raise BadModulus(f"p must be >= 2, got {p}")
+    require_modulus(p)
     if not la.is_symmetric:
         raise NotSymmetric(f"{la} is not self-conjugate")
     if p_core(la, p):

@@ -7,7 +7,7 @@ is lossless and is what the runner formulas in `formula` operate on.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadModulus,
@@ -16,16 +16,9 @@ from .errors import (
     LengthMismatch,
     NotStrictlyDecreasing,
     NotSymmetricBisequence,
+    require_modulus,
 )
-from .partitions import DeltaSet, Partition, diagonal_hooks
-
-
-def _check_descending(seq: tuple[int, ...], what: str) -> None:
-    for a, b in zip(seq, seq[1:]):
-        if b >= a:
-            raise NotStrictlyDecreasing(f"{what} must strictly decrease, found {a} then {b}")
-    if seq and seq[-1] < 0:
-        raise NotStrictlyDecreasing(f"{what} must be non-negative")
+from .partitions import DeltaSet, Partition, _check_descending, diagonal_hooks
 
 
 @dataclass(frozen=True)
@@ -137,8 +130,7 @@ def quotient_of(d: Bisequence, p: int) -> QuotientBisequence:
 
     The placement is lossless; `unquotient` recovers d exactly.
     """
-    if p < 2:
-        raise BadModulus(f"p must be >= 2, got {p}")
+    require_modulus(p)
     legs: list[list[int]] = [[] for _ in range(p)]
     arms: list[list[int]] = [[] for _ in range(p)]
     for a in d.legs:
@@ -151,7 +143,7 @@ def quotient_of(d: Bisequence, p: int) -> QuotientBisequence:
 def unquotient(q: QuotientBisequence) -> Bisequence:
     """Reassemble a bisequence from its residue entries (inverse of quotient_of)."""
     p = q.p
-    if p < 2:
+    if len(q.entries) < 2:
         raise BadModulus(f"need at least 2 residue entries, got {p}")
     legs = []
     arms = []
@@ -168,8 +160,7 @@ def unquotient(q: QuotientBisequence) -> Bisequence:
 
 def residue_class(d: Bisequence, p: int, g: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The legs and arms of d congruent to g mod p, orders preserved."""
-    if p < 2:
-        raise BadModulus(f"p must be >= 2, got {p}")
+    require_modulus(p)
     if not 0 <= g < p:
         raise BadResidue(f"residue {g} not in 0..{p - 1}")
     return (
@@ -183,6 +174,11 @@ def is_concentrated(d: Bisequence, p: int, residues: Iterable[int]) -> bool:
     return quotient_of(d, p).populated == frozenset(residues)
 
 
+def _is_packed(vals: Sequence[int], p: int, g: int) -> bool:
+    """True when the descending residue-g values vals are exactly g+r*p, ..., g+p, g."""
+    return all(v == g + i * p for i, v in enumerate(reversed(vals)))
+
+
 def is_gamma_packed(d: Bisequence, p: int, g: int) -> bool:
     """True when the residue-g diagonal values are exactly g, g+p, ..., g+r*p.
 
@@ -191,12 +187,10 @@ def is_gamma_packed(d: Bisequence, p: int, g: int) -> bool:
     """
     if not d.is_symmetric:
         raise NotSymmetricBisequence("legs and arms differ")
-    if p < 2:
-        raise BadModulus(f"p must be >= 2, got {p}")
+    require_modulus(p)
     if not 0 <= g < p:
         raise BadResidue(f"residue {g} not in 0..{p - 1}")
-    vals = sorted(b for b in d.arms if b % p == g)
-    return all(v == g + i * p for i, v in enumerate(vals))
+    return _is_packed([b for b in d.arms if b % p == g], p, g)
 
 
 def is_symmetric_p_core(d: Bisequence, p: int) -> bool:
@@ -205,16 +199,12 @@ def is_symmetric_p_core(d: Bisequence, p: int) -> bool:
     The partition has no hook of length p exactly when every populated residue
     class is fully packed and the mirrored class p-1-g is empty. Note the
     centre residue of odd p is its own mirror, so it must be empty outright.
+    The arms are bucketed by residue in one pass.
     """
     if not d.is_symmetric:
         raise NotSymmetricBisequence("legs and arms differ")
-    if p < 2:
-        raise BadModulus(f"p must be >= 2, got {p}")
-    for g in range(p):
-        if not any(b % p == g for b in d.arms):
-            continue
-        if not is_gamma_packed(d, p, g):
-            return False
-        if any(b % p == p - 1 - g for b in d.arms):
-            return False
-    return True
+    require_modulus(p)
+    classes: dict[int, list[int]] = {}
+    for b in d.arms:
+        classes.setdefault(b % p, []).append(b)
+    return all(p - 1 - g not in classes and _is_packed(vals, p, g) for g, vals in classes.items())

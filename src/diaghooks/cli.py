@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract: 0 success, 1 disagreement between two
 computation routes, 2 parse error, 3 bad modulus/residue, 4 not a core,
-5 bad quotient, 6 not self-conjugate.
+5 bad quotient, 6 not self-conjugate. Codes 2-6 are the `exit_code` of the
+error that ended the command.
 """
 
 import argparse
@@ -12,36 +13,10 @@ from dataclasses import asdict
 
 from .abacus import from_core_and_quotient, is_p_core, p_core, p_quotient, render_ascii
 from .bisequence import diagonal_bisequence, is_symmetric_p_core
-from .errors import (
-    BadModulus,
-    BadPartitionSyntax,
-    BadResidue,
-    CenterResidue,
-    DiagHookError,
-    EvenModulus,
-    InconsistentQuotient,
-    InvalidDeltaSet,
-    LengthMismatch,
-    NonMonotonic,
-    NonPositivePart,
-    NotACore,
-    NotStrictlyDecreasing,
-    NotSymmetric,
-    NotSymmetricBisequence,
-    NotSymmetricQuotient,
-    WrongQuotientLength,
-)
+from .errors import BadPartitionSyntax, DiagHookError, NotSymmetric
 from .formula import delta_general
 from .partitions import DeltaSet, Partition, delta_of, from_delta_lengths
 from .verify import run_verify
-
-_EXIT_CODES: tuple[tuple[tuple[type, ...], int], ...] = (
-    ((BadPartitionSyntax, NonMonotonic, NonPositivePart, InvalidDeltaSet, NotStrictlyDecreasing, LengthMismatch), 2),
-    ((BadModulus, EvenModulus, BadResidue, CenterResidue), 3),
-    ((NotACore,), 4),
-    ((WrongQuotientLength, NotSymmetricQuotient, InconsistentQuotient), 5),
-    ((NotSymmetric, NotSymmetricBisequence), 6),
-)
 
 
 def parse_partition(text: str) -> Partition:
@@ -265,10 +240,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except DiagHookError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        for types, code in _EXIT_CODES:
-            if isinstance(exc, types):
-                return code
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

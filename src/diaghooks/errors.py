@@ -7,7 +7,13 @@ the usual thing.
 
 
 class DiagHookError(ValueError):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    `exit_code` is the status the command-line front end exits with when the
+    error reaches it; subclasses override it per the documented contract.
+    """
+
+    exit_code = 2
 
 
 class NonPositivePart(DiagHookError):
@@ -45,17 +51,25 @@ class TooFewBeads(DiagHookError):
 class BadModulus(DiagHookError):
     """The runner count p must be an integer >= 2, compatible with the bead count."""
 
+    exit_code = 3
+
 
 class EvenModulus(DiagHookError):
     """The operation addresses the centre runner and therefore needs odd p."""
+
+    exit_code = 3
 
 
 class BadResidue(DiagHookError):
     """A residue was outside the range 0..p-1."""
 
+    exit_code = 3
+
 
 class CenterResidue(DiagHookError):
     """The paired-runner formula does not apply to the self-dual centre residue."""
+
+    exit_code = 3
 
 
 class NotAPHook(DiagHookError):
@@ -65,6 +79,8 @@ class NotAPHook(DiagHookError):
 class NotSymmetric(DiagHookError):
     """A self-conjugate partition was required."""
 
+    exit_code = 6
+
 
 class NonEmptyCore(DiagHookError):
     """An empty p-core was required."""
@@ -73,21 +89,31 @@ class NonEmptyCore(DiagHookError):
 class NotACore(DiagHookError):
     """The partition still contains a hook of length p."""
 
+    exit_code = 4
+
 
 class WrongQuotientLength(DiagHookError):
     """A p-quotient must have exactly p components."""
+
+    exit_code = 5
 
 
 class NotSymmetricQuotient(DiagHookError):
     """Quotient components must satisfy component[g] == conjugate(component[p-1-g])."""
 
+    exit_code = 5
+
 
 class NotSymmetricBisequence(DiagHookError):
     """A bisequence with equal leg and arm sequences was required."""
 
+    exit_code = 6
+
 
 class InconsistentQuotient(DiagHookError):
     """Residue entries do not reassemble into a valid bisequence."""
+
+    exit_code = 5
 
 
 class BadPartitionSyntax(DiagHookError):
@@ -96,3 +122,9 @@ class BadPartitionSyntax(DiagHookError):
 
 class InternalInconsistency(DiagHookError):
     """An internal invariant failed; indicates invalid input or a bug."""
+
+
+def require_modulus(p: int) -> None:
+    """Raise BadModulus unless p is a usable runner count (at least 2)."""
+    if p < 2:
+        raise BadModulus(f"p must be >= 2, got {p}")

@@ -1,10 +1,13 @@
 """Diagonal hook lengths of a self-conjugate partition from its core and quotient.
 
-Nothing here ever touches the Young diagram of the full partition: the
-diagonal data is assembled residue by residue from the quotient components,
-then shifted to account for a non-empty core. The brute-force reading in
-`partitions.diagonal_hooks` exists precisely so the test suite can confirm
-every branch of this module by exhaustive enumeration.
+Nothing here ever touches the Young diagram of the full partition. The
+diagonal data is assembled one runner pair {r, p-1-r} at a time: the quotient
+component on one runner of the pair is read once, shifted by the core's
+diagonal count d0 on that runner when it is non-zero, and its arms and legs
+become arm values at the two residues of the pair. The paper's empty-core,
+concentrated-pair and centre-runner results are restrictions of that one
+loop. The brute-force reading in `partitions.diagonal_hooks` exists precisely
+so the test suite can confirm this module by exhaustive enumeration.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,6 @@ from typing import Sequence
 from .abacus import is_p_core, is_symmetric_quotient
 from .bisequence import QuotientEntry, diagonal_bisequence
 from .errors import (
-    BadModulus,
     BadResidue,
     CenterResidue,
     EvenModulus,
@@ -21,7 +23,7 @@ from .errors import (
     NotACore,
     NotSymmetric,
     NotSymmetricQuotient,
-    WrongQuotientLength,
+    require_modulus,
 )
 from .partitions import DeltaSet, Partition
 
@@ -47,8 +49,7 @@ class CoreCounts:
 
 def core_counts(core: Partition, p: int) -> CoreCounts:
     """Residue bookkeeping for a symmetric p-core."""
-    if p < 2:
-        raise BadModulus(f"p must be >= 2, got {p}")
+    require_modulus(p)
     if not core.is_symmetric:
         raise NotSymmetric(f"{core} is not self-conjugate")
     if not is_p_core(core, p):
@@ -89,48 +90,64 @@ def d0_shift(entry: QuotientEntry, d0: int) -> QuotientEntry:
     return QuotientEntry(legs=legs, arms=arms)
 
 
+def _pair_arm_values(component: Partition, r: int, p: int, d0: int) -> list[int]:
+    """Arm values of the runner pair {r, p-1-r}, read from the component on runner r.
+
+    The component's diagonal data is shifted by d0 when d0 > 0. Its arms then
+    become arm values at residue r and its legs, which are the mirror
+    component's arms, become arm values at p-1-r. On the centre runner of odd
+    p the two residues coincide and only the arms count.
+    """
+    d = diagonal_bisequence(component)
+    entry = d0_shift(QuotientEntry(d.legs, d.arms), d0) if d0 else d
+    values = [r + m * p for m in entry.arms]
+    if 2 * r != p - 1:
+        values += [(p - 1 - r) + m * p for m in entry.legs]
+    return values
+
+
+def _delta(arm_values: list[int]) -> DeltaSet:
+    """The lengths 2*b + 1 of distinct arm values b, largest first."""
+    if len(set(arm_values)) != len(arm_values):
+        raise InternalInconsistency("residue contributions collided; invalid input or bug")
+    return DeltaSet(tuple(sorted((2 * b + 1 for b in arm_values), reverse=True)))
+
+
 def delta_concentrated_pair(component: Partition, g: int, p: int) -> DeltaSet:
     """Diagonal hook lengths contributed by the runner pair {g, p-1-g}.
 
     `component` sits on runner g; its conjugate is implicitly on the mirror
     runner. Each diagonal (leg s | arm t) of the component yields the two
-    lengths 2*(s+1)*p - 2*g - 1 and 2*t*p + 2*g + 1.
+    lengths 2*(s+1)*p - 2*g - 1 and 2*t*p + 2*g + 1: one pair of the loop in
+    `delta_general`, with no core shift.
     """
-    if p < 2:
-        raise BadModulus(f"p must be >= 2, got {p}")
+    require_modulus(p)
     if not 0 <= g < p:
         raise BadResidue(f"residue {g} not in 0..{p - 1}")
     if 2 * g == p - 1:
         raise CenterResidue(f"residue {g} is self-dual for p={p}; use delta_concentrated_center")
-    d = diagonal_bisequence(component)
-    lengths = [2 * (s + 1) * p - 2 * g - 1 for s in d.legs]
-    lengths += [2 * t * p + 2 * g + 1 for t in d.arms]
-    return DeltaSet(tuple(sorted(lengths, reverse=True)))
+    return _delta(_pair_arm_values(component, g, p, 0))
 
 
 def delta_concentrated_center(component: Partition, p: int) -> DeltaSet:
     """Diagonal hook lengths contributed by the self-dual centre runner (p odd).
 
     The centre component must itself be self-conjugate; each of its diagonal
-    values m yields the length (2*m+1)*p.
+    values m yields the length (2*m+1)*p: the centre pair of the loop in
+    `delta_general`, with no core shift.
     """
-    if p < 2:
-        raise BadModulus(f"p must be >= 2, got {p}")
+    require_modulus(p)
     if p % 2 == 0:
         raise EvenModulus(f"p={p} has no centre runner")
     if not component.is_symmetric:
         raise NotSymmetric(f"centre component {component} is not self-conjugate")
-    d = diagonal_bisequence(component)
-    return DeltaSet(tuple((2 * m + 1) * p for m in d.arms))
+    return _delta(_pair_arm_values(component, (p - 1) // 2, p, 0))
 
 
 def _require_symmetric_quotient(quotient: Sequence[Partition], p: int) -> tuple[Partition, ...]:
-    if p < 2:
-        raise BadModulus(f"p must be >= 2, got {p}")
+    require_modulus(p)
     quotient = tuple(quotient)
-    if len(quotient) != p:
-        raise WrongQuotientLength(f"expected {p} components, got {len(quotient)}")
-    if not is_symmetric_quotient(quotient):
+    if not is_symmetric_quotient(quotient, p):
         raise NotSymmetricQuotient("component g must equal conjugate of component p-1-g")
     return quotient
 
@@ -138,42 +155,23 @@ def _require_symmetric_quotient(quotient: Sequence[Partition], p: int) -> tuple[
 def delta_empty_core(quotient: Sequence[Partition], p: int) -> DeltaSet:
     """Diagonal hook lengths when the core is empty: runner pairs contribute
     independently and their contributions never collide."""
-    quotient = _require_symmetric_quotient(quotient, p)
-    lengths: list[int] = []
-    for g in range(p // 2):
-        lengths.extend(delta_concentrated_pair(quotient[g], g, p).lengths)
-    if p % 2 == 1:
-        lengths.extend(delta_concentrated_center(quotient[(p - 1) // 2], p).lengths)
-    if len(set(lengths)) != len(lengths):
-        raise InternalInconsistency("runner contributions collided; invalid input or bug")
-    return DeltaSet(tuple(sorted(lengths, reverse=True)))
+    return delta_general(Partition(()), quotient, p)
 
 
 def delta_general(core: Partition, quotient: Sequence[Partition], p: int) -> DeltaSet:
     """Diagonal hook lengths of the self-conjugate partition with this core and quotient.
 
-    Empty core delegates to delta_empty_core. Otherwise each populated core
-    residue g shifts its runner entry by d0[g]: the shifted arms stay at
-    residue g, the surviving legs re-emerge as arms at the mirror residue
-    p-1-g, and untouched residues contribute their arms as-is. Every arm value
-    b then gives the length 2*b + 1.
+    One pass over the runner pairs {r, p-1-r}. A symmetric p-core populates at
+    most one residue of each pair; that runner's entry is shifted by its
+    d0 > 0, the shifted arms stay at its residue and the surviving legs
+    re-emerge as arms at the mirror residue. A pair the core leaves alone
+    contributes runner r's arms and legs unshifted. Every arm value b then
+    gives the length 2*b + 1.
     """
     quotient = _require_symmetric_quotient(quotient, p)
-    if not core.is_symmetric:
-        raise NotSymmetric(f"core {core} is not self-conjugate")
-    if not is_p_core(core, p):
-        raise NotACore(f"core {core} has a hook of length {p}")
-    if not core:
-        return delta_empty_core(quotient, p)
-    cc = core_counts(core, p)
+    d0 = core_counts(core, p).d0
     arm_values: list[int] = []
-    for g in cc.shifted:
-        d = diagonal_bisequence(quotient[g])
-        moved = d0_shift(QuotientEntry(d.legs, d.arms), cc.d0[g])
-        arm_values.extend(g + m * p for m in moved.arms)
-        arm_values.extend((p - 1 - g) + m * p for m in moved.legs)
-    for g in cc.untouched:
-        arm_values.extend(g + m * p for m in diagonal_bisequence(quotient[g]).arms)
-    if len(set(arm_values)) != len(arm_values):
-        raise InternalInconsistency("residue contributions collided; invalid input or bug")
-    return DeltaSet(tuple(sorted((2 * b + 1 for b in arm_values), reverse=True)))
+    for r in range((p + 1) // 2):
+        g = p - 1 - r if d0[p - 1 - r] else r
+        arm_values += _pair_arm_values(quotient[g], g, p, d0[g])
+    return _delta(arm_values)

@@ -180,7 +180,7 @@ def delta_of(la: Partition) -> DeltaSet:
     return DeltaSet(tuple(h.length for h in diagonal_hooks(la)))
 
 
-def _check_coordinate_sequence(seq: tuple[int, ...], what: str) -> None:
+def _check_descending(seq: tuple[int, ...], what: str) -> None:
     for a, b in zip(seq, seq[1:]):
         if b >= a:
             raise NotStrictlyDecreasing(f"{what} must strictly decrease, found {a} then {b}")
@@ -198,8 +198,8 @@ def from_frobenius(legs: Iterable[int], arms: Iterable[int]) -> Partition:
     arms = tuple(arms)
     if len(legs) != len(arms):
         raise LengthMismatch(f"{len(legs)} legs vs {len(arms)} arms")
-    _check_coordinate_sequence(legs, "legs")
-    _check_coordinate_sequence(arms, "arms")
+    _check_descending(legs, "legs")
+    _check_descending(arms, "arms")
     t = len(legs)
     rows = [arms[i] + i + 1 for i in range(t)]
     if legs:

@@ -5,7 +5,7 @@ from typing import Iterable
 
 from .abacus import from_core_and_quotient, is_p_core, p_core, p_quotient
 from .bisequence import diagonal_bisequence, is_symmetric_p_core
-from .errors import BadModulus, NonPositivePart
+from .errors import BadModulus, NonPositivePart, require_modulus
 from .formula import delta_general
 from .partitions import Partition, delta_of, enumerate_partitions
 
@@ -64,8 +64,7 @@ def run_verify(n_max: int, moduli: Iterable[int]) -> VerifyReport:
     if not moduli:
         raise BadModulus("need at least one modulus")
     for p in moduli:
-        if p < 2:
-            raise BadModulus(f"p must be >= 2, got {p}")
+        require_modulus(p)
     report = VerifyReport(n_max=n_max, moduli=moduli)
     for n in range(n_max + 1):
         for la in enumerate_partitions(n, symmetric_only=True):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from diaghooks import errors
 from diaghooks.cli import main, parse_int_list, parse_partition
 from diaghooks.errors import BadPartitionSyntax, NonMonotonic
 from diaghooks.partitions import Partition
@@ -183,3 +184,24 @@ class TestJsonRoundtrip:
         delta_data = json.loads(capsys.readouterr().out)
         assert delta_data["partition"] == core_data["partition"]
         assert delta_data["agree"] is True
+
+
+class TestExitCodes:
+    def test_every_error_carries_its_documented_code(self):
+        documented = {
+            errors.BadModulus: 3,
+            errors.EvenModulus: 3,
+            errors.BadResidue: 3,
+            errors.CenterResidue: 3,
+            errors.NotACore: 4,
+            errors.WrongQuotientLength: 5,
+            errors.NotSymmetricQuotient: 5,
+            errors.InconsistentQuotient: 5,
+            errors.NotSymmetric: 6,
+            errors.NotSymmetricBisequence: 6,
+        }
+        subclasses = errors.DiagHookError.__subclasses__()
+        assert set(documented) <= set(subclasses)
+        assert errors.DiagHookError.exit_code == 2
+        for cls in subclasses:
+            assert cls.exit_code == documented.get(cls, 2), cls.__name__

@@ -15,6 +15,7 @@ from diaghooks.errors import (
     NotSymmetricQuotient,
     WrongQuotientLength,
 )
+from diaghooks import formula
 from diaghooks.formula import (
     core_counts,
     d0_shift,
@@ -275,3 +276,29 @@ class TestCoreShiftOnAxes:
                     )
                 for g in cc.untouched:
                     assert axis_of(ab.runner(g)).two_theta == axis_of(ab_bare.runner(g)).two_theta
+
+
+class TestOneRunnerPairLoop:
+    def test_matches_diagram_reading_at_even_and_composite_moduli(self):
+        for la in symmetric_up_to(24):
+            oracle = delta_of(la)
+            for p in (4, 6, 8, 9):
+                assert delta_general(p_core(la, p), p_quotient(la, p), p) == oracle
+
+    @pytest.mark.parametrize("core", [P(()), from_delta_lengths(CORE_DELTA)], ids=["empty", "weight-514"])
+    def test_validates_quotient_and_core_once(self, monkeypatch, core):
+        calls = {"is_symmetric_quotient": 0, "is_p_core": 0}
+
+        def counting(name):
+            inner = getattr(formula, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(formula, name, counting(name))
+        delta_general(core, QUOTIENT_190, 5)
+        assert calls == {"is_symmetric_quotient": 1, "is_p_core": 1}
