@@ -7,6 +7,7 @@ deterministic.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,11 +44,15 @@ class Abacus:
 
     def runner(self, g: int) -> BetaSet:
         """Row indices of the beads on runner g, itself a bead set."""
-        return BetaSet(tuple(pos // self.p for pos in self.beads if pos % self.p == g))
+        return self.runners[g]
 
-    @property
+    @functools.cached_property
     def runners(self) -> tuple[BetaSet, ...]:
-        return tuple(self.runner(g) for g in range(self.p))
+        """Every runner's bead rows, bucketed in one O(k + p) pass over the beads."""
+        rows: list[list[int]] = [[] for _ in range(self.p)]
+        for pos in self.beads:
+            rows[pos % self.p].append(pos // self.p)
+        return tuple(BetaSet(tuple(r)) for r in rows)
 
     def axis(self) -> Axis:
         return axis_of(self.beads)
@@ -68,27 +73,32 @@ def to_abacus(la: Partition, p: int, bead_count: int | None = None) -> Abacus:
     return Abacus(p, beta_of(la, k))
 
 
+def _core_of(ab: Abacus) -> Partition:
+    pushed = [g + m * ab.p for g in range(ab.p) for m in range(len(ab.runner(g)))]
+    return partition_of(BetaSet(tuple(pushed)))
+
+
+def _quotient_of(ab: Abacus) -> tuple[Partition, ...]:
+    return tuple(partition_of(ab.runner(g)) for g in range(ab.p))
+
+
 def p_core(la: Partition, p: int) -> Partition:
     """Push every bead as far up its runner as it goes; the remaining partition.
 
     The result has no hook of length p and does not depend on the bead count.
     """
-    ab = to_abacus(la, p)
-    pushed = []
-    for g in range(p):
-        count = len(ab.runner(g))
-        pushed.extend(g + m * p for m in range(count))
-    return partition_of(BetaSet(tuple(pushed)))
+    return _core_of(to_abacus(la, p))
 
 
 def p_quotient(la: Partition, p: int) -> tuple[Partition, ...]:
     """The p partitions read off the runners of the canonical abacus."""
-    ab = to_abacus(la, p)
-    return tuple(partition_of(ab.runner(g)) for g in range(p))
+    return _quotient_of(to_abacus(la, p))
 
 
 def core_and_quotient(la: Partition, p: int) -> tuple[Partition, tuple[Partition, ...]]:
-    return p_core(la, p), p_quotient(la, p)
+    """p_core and p_quotient read off one abacus layout."""
+    ab = to_abacus(la, p)
+    return _core_of(ab), _quotient_of(ab)
 
 
 def is_p_core(la: Partition, p: int) -> bool:
@@ -103,7 +113,8 @@ def is_symmetric_quotient(quotient: Sequence[Partition], p: int | None = None) -
     if p is not None and len(quotient) != p:
         raise WrongQuotientLength(f"expected {p} components, got {len(quotient)}")
     n = len(quotient)
-    return all(quotient[g] == quotient[n - 1 - g].conjugate() for g in range(n))
+    # Conjugation is an involution, so the first half of the pairs decides.
+    return all(quotient[g] == quotient[n - 1 - g].conjugate() for g in range((n + 1) // 2))
 
 
 def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: int) -> Partition:
@@ -118,17 +129,15 @@ def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: in
         raise WrongQuotientLength(f"expected {p} components, got {len(quotient)}")
     if not is_p_core(core, p):
         raise NotACore(f"{core} has a hook of length {p}")
-    k = _canonical_bead_count(core, p)
-    while True:
-        counts = [0] * p
-        for pos in beta_of(core, k).beads:
-            counts[pos % p] += 1
-        if all(counts[g] >= len(quotient[g].parts) for g in range(p)):
-            break
-        k += p
+    counts = [0] * p
+    for pos in beta_of(core, _canonical_bead_count(core, p)).beads:
+        counts[pos % p] += 1
+    # p more beads push every bead one row down and add one bead per runner,
+    # so the runner counts at k + j*p beads are the counts at k, plus j.
+    j = max(0, max(len(q.parts) - c for q, c in zip(quotient, counts)))
     beads = []
     for g in range(p):
-        beads.extend(g + m * p for m in beta_of(quotient[g], counts[g]).beads)
+        beads.extend(g + m * p for m in beta_of(quotient[g], counts[g] + j).beads)
     return partition_of(BetaSet(tuple(beads)))
 
 
@@ -159,9 +168,9 @@ def classify_p_hook(la: Partition, p: int, hook: BetaHook) -> PHookClass:
     require_modulus(p)
     if not la.is_symmetric:
         raise NotSymmetric(f"{la} is not self-conjugate")
-    if p_core(la, p):
-        raise NonEmptyCore(f"{la} has a non-empty {p}-core")
     ab = to_abacus(la, p)
+    if _core_of(ab):
+        raise NonEmptyCore(f"{la} has a non-empty {p}-core")
     x = ab.beads
     if hook.y < 0 or hook.x - hook.y != p or hook.x not in x or hook.y in x:
         raise NotAPHook(f"({hook.y},{hook.x}] is not a length-{p} hook of the canonical layout")

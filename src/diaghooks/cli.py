@@ -11,12 +11,16 @@ import json
 import sys
 from dataclasses import asdict
 
-from .abacus import from_core_and_quotient, is_p_core, p_core, p_quotient, render_ascii
+from .abacus import core_and_quotient, from_core_and_quotient, is_p_core, p_quotient, render_ascii
 from .bisequence import diagonal_bisequence, is_symmetric_p_core
 from .errors import BadPartitionSyntax, DiagHookError, NotSymmetric
 from .formula import delta_general
 from .partitions import DeltaSet, Partition, delta_of, from_delta_lengths
 from .verify import run_verify
+
+
+def _is_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()  # str.isdigit alone accepts '²' and '３'
 
 
 def parse_partition(text: str) -> Partition:
@@ -29,7 +33,7 @@ def parse_partition(text: str) -> Partition:
     for token in text.split(","):
         stripped = token.strip()
         base, caret, exp = stripped.partition("^")
-        if not base.isdigit() or (caret and not exp.isdigit()):
+        if not _is_digits(base) or (caret and not _is_digits(exp)):
             raise BadPartitionSyntax(f"bad token {stripped!r} at position {pos}")
         parts.extend([int(base)] * (int(exp) if caret else 1))
         pos += len(token) + 1
@@ -41,7 +45,7 @@ def parse_int_list(text: str) -> list[int]:
     pos = 0
     for token in text.split(","):
         stripped = token.strip()
-        if not stripped.isdigit():
+        if not _is_digits(stripped):
             raise BadPartitionSyntax(f"bad integer {stripped!r} at position {pos}")
         out.append(int(stripped))
         pos += len(token) + 1
@@ -60,8 +64,7 @@ def _lengths(delta: DeltaSet) -> str:
 
 def cmd_core(args) -> int:
     la = parse_partition(args.partition)
-    core = p_core(la, args.p)
-    quotient = p_quotient(la, args.p)
+    core, quotient = core_and_quotient(la, args.p)
     if args.json:
         print(json.dumps({
             "partition": list(la.parts),
@@ -241,7 +244,3 @@ def main(argv=None) -> int:
     except DiagHookError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from typing import Iterable
 
-from .abacus import from_core_and_quotient, is_p_core, p_core, p_quotient
+from .abacus import core_and_quotient, from_core_and_quotient, is_p_core
 from .bisequence import diagonal_bisequence, is_symmetric_p_core
 from .errors import BadModulus, NonPositivePart, require_modulus
 from .formula import delta_general
@@ -34,8 +34,7 @@ class VerifyReport:
 
 def _cell_problems(la: Partition, p: int) -> list[tuple[str, str]]:
     problems = []
-    core = p_core(la, p)
-    quotient = p_quotient(la, p)
+    core, quotient = core_and_quotient(la, p)
     rebuilt = from_core_and_quotient(core, quotient, p)
     if rebuilt != la:
         problems.append(("roundtrip", f"rebuilt {rebuilt} from core {core} and quotient"))

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import partitions_up_to, symmetric_up_to
+from conftest import partitions, partitions_up_to, symmetric_up_to
+from diaghooks import abacus
 from diaghooks.abacus import (
     HookSide,
     classify_p_hook,
+    core_and_quotient,
     from_core_and_quotient,
     is_p_core,
     is_symmetric_quotient,
@@ -226,3 +230,64 @@ class TestRender:
 
     def test_spike(self):
         assert render_ascii(P((4, 1, 1, 1)), 3) == "● ● ·\n● ● ●\n─────\n· · ·\n● · ·"
+
+
+class TestOnePassAbacus:
+    @given(partitions(), st.integers(2, 13))
+    def test_runners_match_the_per_runner_scan(self, la, p):
+        ab = to_abacus(la, p)
+        for g in range(p):
+            assert ab.runner(g) == BetaSet(tuple(b // p for b in ab.beads if b % p == g))
+        assert core_and_quotient(la, p) == (p_core(la, p), p_quotient(la, p))
+
+    def test_one_layout_and_one_bucketing(self, monkeypatch):
+        calls = []
+        real = abacus.to_abacus
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(abacus, "to_abacus", counting)
+        assert core_and_quotient(P((4, 1, 1, 1)), 3) == (P((1,)), (P((1,)), P(()), P((1,))))
+        assert len(calls) == 1
+        ab = real(P((4, 1, 1, 1)), 3)
+        assert ab.runners is ab.runners
+
+    @pytest.mark.parametrize("core, quotient", [
+        (P(()), (P((1, 1, 1)), P((3,)))),
+        (P((1,)), (P((2, 2, 1)), P(()), P((1, 1, 1, 1)), P((3,)))),
+        (P((2,)), (P((1, 1, 1, 1)), P(()), P((2,)))),
+        (P((3, 1, 1)), (P(()), P((1,) * 5), P(()), P(()), P((2, 2)), P(()))),
+    ])
+    def test_rebuild_adds_rows_for_long_components(self, core, quotient):
+        p = len(quotient)
+        runners = to_abacus(core, p).runners
+        assert any(len(q.parts) > len(r) for q, r in zip(quotient, runners))
+        la = from_core_and_quotient(core, quotient, p)
+        assert core_and_quotient(la, p) == (core, quotient)
+        assert la.weight == core.weight + p * sum(q.weight for q in quotient)
+
+    def test_core_is_linear_in_p(self):
+        # one bead scan per abacus, not one per runner: p = 10**4 stays quick
+        p = 10**4
+        assert p_core(P((1,)), p) == P((1,))
+        assert core_and_quotient(P((1,)), p) == (P((1,)), (P(()),) * p)
+
+
+class TestSymmetricQuotientHalf:
+    @pytest.mark.parametrize("p", [7, 8])
+    def test_conjugates_each_mirror_pair_once(self, p, monkeypatch):
+        half = [P((3, 1)), P(()), P((2, 2, 1)), P((1,))][: p // 2]
+        centre = [P((2, 1))] if p % 2 else []
+        quotient = tuple(half + centre + [c.conjugate() for c in reversed(half)])
+        calls = []
+        real = P.conjugate
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(P, "conjugate", counting)
+        assert is_symmetric_quotient(quotient, p)
+        assert len(calls) <= (p + 1) // 2

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,25 @@ class TestParsing:
             parse_int_list("3,,5")
 
 
+class TestNonAsciiDigits:
+    @pytest.mark.parametrize("argv", [
+        ["core", "3,²", "--p", "3"],
+        ["core", "2^²", "--p", "3"],
+        ["verify", "--primes", "３"],
+    ])
+    def test_exit_2_without_traceback(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "BadPartitionSyntax" in err and "Traceback" not in err
+
+    def test_parsers_refuse_them(self):
+        for text in ("²", "3,²", "2^²", "３"):
+            with pytest.raises(BadPartitionSyntax):
+                parse_partition(text)
+        with pytest.raises(BadPartitionSyntax):
+            parse_int_list("３")
+
+
 class TestCoreCommand:
     def test_text(self, capsys):
         assert main(["core", "3,2,1", "--p", "3"]) == 0
@@ -68,6 +91,15 @@ class TestCoreCommand:
     def test_bad_modulus_exit_3(self, capsys):
         assert main(["core", "3,2,1", "--p", "1"]) == 3
         assert "BadModulus" in capsys.readouterr().err
+
+
+    def test_runs_as_a_module(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-m", "diaghooks", "core", "3,2,1", "--p", "3", "--json"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["quotient"] == [[1], [], [1]]
 
 
 class TestQuotientCommand:
