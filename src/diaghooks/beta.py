@@ -62,11 +62,7 @@ class BetaSet:
 
     def minimal(self) -> "BetaSet":
         """Canonical representative: shift left until position 0 is a space."""
-        r = 0
-        for b in self.beads:
-            if b != r:
-                break
-            r += 1
+        r = self.first_space
         return BetaSet(tuple(b - r for b in self.beads[r:]))
 
 

@@ -18,7 +18,7 @@ from .errors import (
     NotSymmetricBisequence,
     require_modulus,
 )
-from .partitions import DeltaSet, Partition, _check_descending, diagonal_hooks
+from .partitions import DeltaSet, Partition, _check_descending, _frobenius
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,8 @@ class QuotientBisequence:
 
 
 def diagonal_bisequence(la: Partition) -> Bisequence:
-    """Legs and arms of the diagonal hooks of la, largest first."""
-    hooks = diagonal_hooks(la)
-    return Bisequence(tuple(h.leg for h in hooks), tuple(h.arm for h in hooks))
+    """Legs and arms of the diagonal hooks of la, largest first, read as Frobenius coordinates."""
+    return Bisequence(*_frobenius(la))
 
 
 def quotient_of(d: Bisequence, p: int) -> QuotientBisequence:

@@ -17,7 +17,7 @@ class DiagHookError(ValueError):
 
 
 class NonPositivePart(DiagHookError):
-    """A partition part was zero or negative."""
+    """A partition part was not a positive integer."""
 
 
 class NonMonotonic(DiagHookError):

@@ -6,6 +6,7 @@ first-class value. All quantities fit comfortably in native integers; the
 library is meant for desk-scale weights (n up to a few thousand at most).
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -18,6 +19,15 @@ from .errors import (
     NotStrictlyDecreasing,
     NotSymmetric,
 )
+
+
+def _is_integer(v) -> bool:
+    """True for exact integer types (anything `operator.index` takes), never for bool."""
+    try:
+        operator.index(v)
+    except TypeError:
+        return False
+    return not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -34,8 +44,8 @@ class Partition:
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
         for k, part in enumerate(parts):
-            if part < 1:
-                raise NonPositivePart(f"part #{k + 1} is {part}, must be >= 1")
+            if (type(part) is not int and not _is_integer(part)) or part < 1:
+                raise NonPositivePart(f"part #{k + 1} is {part!r}, must be an integer >= 1")
         for a, b in zip(parts, parts[1:]):
             if b > a:
                 raise NonMonotonic(f"parts must be weakly decreasing, found {a} before {b}")
@@ -85,23 +95,22 @@ class Partition:
 
     @property
     def is_symmetric(self) -> bool:
-        """True when the partition equals its conjugate.
+        """True when the partition equals its conjugate: its diagonal legs equal its arms."""
+        legs, arms = _frobenius(self)
+        return legs == arms
 
-        Checked cheaply via the diagonal: row i and column i must agree for
-        every i up to the Durfee size.
-        """
-        parts = self.parts
-        if not parts:
-            return True
-        if parts[0] != len(parts):
-            return False
-        j = len(parts) - 1
-        for i in range(1, self.durfee + 1):
-            while j >= 0 and parts[j] < i:
-                j -= 1
-            if parts[i - 1] != j + 1:
-                return False
-        return True
+
+def _frobenius(la: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Legs la'_i - i and arms la_i - i of la's diagonal hooks, largest first, in one walk down the rows."""
+    parts = la.parts
+    legs, arms = [], []
+    j = len(parts) - 1
+    for i in range(1, la.durfee + 1):
+        while parts[j] < i:
+            j -= 1
+        legs.append(j + 1 - i)
+        arms.append(parts[i - 1] - i)
+    return tuple(legs), tuple(arms)
 
 
 @dataclass(frozen=True)
@@ -132,8 +141,8 @@ class DeltaSet:
         lengths = tuple(self.lengths)
         object.__setattr__(self, "lengths", lengths)
         for d in lengths:
-            if d < 1 or d % 2 == 0:
-                raise InvalidDeltaSet(f"{d} is not a positive odd length")
+            if (type(d) is not int and not _is_integer(d)) or d < 1 or d % 2 == 0:
+                raise InvalidDeltaSet(f"{d!r} is not a positive odd integer")
         for a, b in zip(lengths, lengths[1:]):
             if b >= a:
                 raise InvalidDeltaSet(f"lengths must strictly decrease, found {a} then {b}")
@@ -215,22 +224,37 @@ def from_delta_lengths(lengths: Iterable[int]) -> Partition:
     return from_frobenius(half, half)
 
 
+def _distinct_odd_parts(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    # Partitions of n into distinct odd parts <= largest, descending lexicographically: the order
+    # enumerate_partitions gives the self-conjugate partitions they are the diagonal hook lengths
+    # of. Row i <= t of from_delta_lengths(d) is (d_i - 1)/2 + i, so rows agree before the first
+    # index k where two sequences differ; at k the larger d_k gives the larger row, and a sequence
+    # that has already ended has row k <= k - 1, below the other's row k >= k.
+    if n == 0:
+        yield ()
+        return
+    for d in range(min(largest, n - 1 + n % 2), 0, -2):  # from the largest odd d <= n
+        if (d + 1) * (d + 1) < 4 * n:  # 1 + 3 + ... + d = ((d + 1) / 2)**2 falls short of n
+            return
+        for rest in _distinct_odd_parts(n - d, d - 2):
+            yield (d,) + rest
+
+
 def enumerate_partitions(n: int, symmetric_only: bool = False) -> Iterator[Partition]:
     """All partitions of n, in reverse lexicographic order, each exactly once.
 
-    With symmetric_only the stream is filtered down to the self-conjugate
-    partitions (same order).
+    With symmetric_only only the self-conjugate partitions are yielded (same
+    order), generated directly from their diagonal hook lengths: the
+    partitions of n into distinct odd parts.
     """
     if n < 0:
         raise NonPositivePart(f"cannot partition {n}")
-    if n == 0:
-        yield Partition(())
+    if symmetric_only:
+        yield from map(from_delta_lengths, _distinct_odd_parts(n, n))
         return
-    parts = [n]
+    parts = [n] if n else []
     while True:
-        cand = Partition(tuple(parts))
-        if not symmetric_only or cand.is_symmetric:
-            yield cand
+        yield Partition(tuple(parts))
         k = len(parts) - 1
         while k >= 0 and parts[k] == 1:
             k -= 1

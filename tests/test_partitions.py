@@ -1,7 +1,10 @@
+import enum
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import partitions, partitions_up_to, symmetric_up_to
+from diaghooks.bisequence import diagonal_bisequence
 from diaghooks.errors import (
     CellOutOfDiagram,
     InvalidDeltaSet,
@@ -64,6 +67,20 @@ class TestConstruction:
             Partition((3, 0))
         with pytest.raises(NonPositivePart):
             Partition((-1,))
+
+    def test_rejects_non_integers(self):
+        with pytest.raises(NonPositivePart):
+            Partition((2.5,))
+        with pytest.raises(NonPositivePart):
+            Partition((True,))
+        with pytest.raises(NonPositivePart):
+            Partition((3, 2.0))
+
+    def test_accepts_other_integer_types(self):
+        class Size(enum.IntEnum):
+            TWO = 2
+
+        assert Partition((Size.TWO, 1)).weight == 3
 
 
 class TestConjugate:
@@ -155,6 +172,12 @@ class TestDeltaSet:
         with pytest.raises(InvalidDeltaSet):
             DeltaSet((5, 5))
 
+    def test_rejects_non_integers(self):
+        with pytest.raises(InvalidDeltaSet):
+            DeltaSet((3.0, 1))
+        with pytest.raises(InvalidDeltaSet):
+            DeltaSet((True,))
+
 
 class TestFromFrobenius:
     def test_staircase(self):
@@ -225,3 +248,44 @@ class TestEnumeration:
             via_flag = set(enumerate_partitions(n, symmetric_only=True))
             via_conj = {la for la in enumerate_partitions(n) if la == la.conjugate()}
             assert via_flag == via_conj
+
+    def test_symmetric_stream_equals_filter_in_order(self):
+        for n in range(31):
+            direct = list(enumerate_partitions(n, symmetric_only=True))
+            assert direct == [la for la in enumerate_partitions(n) if la.is_symmetric]
+
+    def test_symmetric_counts_and_weights_up_to_sixty(self):
+        for n in range(61):
+            got = list(enumerate_partitions(n, symmetric_only=True))
+            assert len(got) == _distinct_odd_count(n)
+            assert all(la.is_symmetric and la.weight == n for la in got)
+
+    def test_symmetric_stream_builds_one_partition_per_item(self, monkeypatch):
+        built = []
+        original = Partition.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(Partition, "__post_init__", counting)
+        got = list(enumerate_partitions(40, symmetric_only=True))
+        assert len(got) == _distinct_odd_count(40)
+        assert len(built) == len(got)
+
+
+class TestDiagonalBisequence:
+    @staticmethod
+    def _from_hooks(la):
+        hooks = diagonal_hooks(la)
+        return tuple(h.leg for h in hooks), tuple(h.arm for h in hooks)
+
+    def test_matches_diagonal_hooks_exhaustive(self):
+        for la in partitions_up_to(16):
+            d = diagonal_bisequence(la)
+            assert (d.legs, d.arms) == self._from_hooks(la)
+
+    @given(partitions())
+    def test_matches_diagonal_hooks_random(self, la):
+        d = diagonal_bisequence(la)
+        assert (d.legs, d.arms) == self._from_hooks(la)
