@@ -2,11 +2,12 @@
 
 Exit codes are part of the contract: 0 success, 1 disagreement between two
 computation routes, 2 parse error, 3 bad modulus/residue, 4 not a core,
-5 bad quotient, 6 not self-conjugate. Codes 2-6 are the `exit_code` of the
-error that ended the command.
+5 bad quotient, 6 not self-conjugate, 7 internal error (any other exception).
+Codes 2-6 are the `exit_code` of the error that ended the command.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -18,9 +19,12 @@ from .formula import delta_general
 from .partitions import DeltaSet, Partition, delta_of, from_delta_lengths
 from .verify import run_verify
 
+MAX_PARTS = 10**6  # parse_partition refuses a partition with more parts, before building it
+
 
 def _is_digits(text: str) -> bool:
-    return text.isascii() and text.isdigit()  # str.isdigit alone accepts '²' and '３'
+    # str.isdigit alone accepts '²' and '３'; int() refuses more than 4300 digits by default
+    return text.isascii() and text.isdigit() and len(text) <= 4300
 
 
 def parse_partition(text: str) -> Partition:
@@ -35,7 +39,10 @@ def parse_partition(text: str) -> Partition:
         base, caret, exp = stripped.partition("^")
         if not _is_digits(base) or (caret and not _is_digits(exp)):
             raise BadPartitionSyntax(f"bad token {stripped!r} at position {pos}")
-        parts.extend([int(base)] * (int(exp) if caret else 1))
+        count = int(exp) if caret else 1
+        if len(parts) + count > MAX_PARTS:
+            raise BadPartitionSyntax(f"token {stripped!r} at position {pos} makes more than {MAX_PARTS} parts")
+        parts.extend([int(base)] * count)
         pos += len(token) + 1
     return Partition(tuple(parts))
 
@@ -237,10 +244,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+def _is_arg(token: str) -> bool:
+    return not token.startswith("-")
+
+
+def _split_quotients(argv: list[str]) -> tuple[list[str], list[str] | None]:
+    """A `delta` line without its --quotient options, and their values in order.
+
+    argparse rescans every option index per option it consumes, O(k^2) in k
+    options, and a query at modulus p has p of them. A line stays whole, with
+    values None, unless each --quotient is spelled in full, follows `delta`, an
+    argument or a `--quotient=`, and has an argument for value, and no `--` or
+    abbreviation `--q...` occurs: then argparse reads the rest as before.
+    """
+    whole = argv, None
+    if not argv or argv[0] != "delta" or "--" in argv:
+        return whole
+    rest, values = ["delta"], []
+    after_arg = True  # `delta` is no option, so nothing before the first token awaits a value
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--quotient":
+            value = next(tokens, "-")  # a missing value is refused like an option
+            if not (after_arg and _is_arg(value)):
+                return whole
+            values.append(value)
+        elif token.startswith("--quotient="):
+            if not after_arg:
+                return whole
+            values.append(token[len("--quotient="):])
+        elif token.startswith("--q"):
+            return whole
+        else:
+            rest.append(token)
+            after_arg = _is_arg(token)
+    return rest, values
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    rest, quotients = _split_quotients(sys.argv[1:] if argv is None else argv)
+    args = _parser().parse_args(rest)
+    if quotients is not None:
+        args.quotient = quotients
     try:
         return args.func(args)
     except DiagHookError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except Exception as exc:  # a bug, not bad input: keep exit 1 for "routes disagreed"
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 7

@@ -21,13 +21,14 @@ from .errors import (
 )
 
 
-def _is_integer(v) -> bool:
-    """True for exact integer types (anything `operator.index` takes), never for bool."""
+def _as_int(v) -> int:
+    """v as a plain int, via `operator.index`; 0, which every caller refuses, for bool and non-integers."""
+    if isinstance(v, bool):
+        return 0
     try:
-        operator.index(v)
+        return operator.index(v)
     except TypeError:
-        return False
-    return not isinstance(v, bool)
+        return 0
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,15 @@ class Partition:
 
     def __post_init__(self):
         parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+        ints = None  # a copy of parts, made at the first part that is not a plain int
         for k, part in enumerate(parts):
-            if (type(part) is not int and not _is_integer(part)) or part < 1:
-                raise NonPositivePart(f"part #{k + 1} is {part!r}, must be an integer >= 1")
+            if type(part) is not int:
+                ints = ints or list(parts)
+                ints[k] = part = _as_int(part)
+            if part < 1:
+                raise NonPositivePart(f"part #{k + 1} is {parts[k]!r}, must be an integer >= 1")
+        parts = tuple(ints) if ints else parts
+        object.__setattr__(self, "parts", parts)
         for a, b in zip(parts, parts[1:]):
             if b > a:
                 raise NonMonotonic(f"parts must be weakly decreasing, found {a} before {b}")
@@ -139,10 +145,15 @@ class DeltaSet:
 
     def __post_init__(self):
         lengths = tuple(self.lengths)
+        ints = None  # as in Partition
+        for k, d in enumerate(lengths):
+            if type(d) is not int:
+                ints = ints or list(lengths)
+                ints[k] = d = _as_int(d)
+            if d < 1 or d % 2 == 0:
+                raise InvalidDeltaSet(f"{lengths[k]!r} is not a positive odd integer")
+        lengths = tuple(ints) if ints else lengths
         object.__setattr__(self, "lengths", lengths)
-        for d in lengths:
-            if (type(d) is not int and not _is_integer(d)) or d < 1 or d % 2 == 0:
-                raise InvalidDeltaSet(f"{d!r} is not a positive odd integer")
         for a, b in zip(lengths, lengths[1:]):
             if b >= a:
                 raise InvalidDeltaSet(f"lengths must strictly decrease, found {a} then {b}")

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diaghooks import errors
-from diaghooks.cli import main, parse_int_list, parse_partition
+from diaghooks import cli, errors
+from diaghooks.cli import build_parser, main, parse_int_list, parse_partition
 from diaghooks.errors import BadPartitionSyntax, NonMonotonic
 from diaghooks.partitions import Partition
 
@@ -44,6 +49,28 @@ class TestParsing:
         assert parse_int_list("3,5,7") == [3, 5, 7]
         with pytest.raises(BadPartitionSyntax):
             parse_int_list("3,,5")
+
+
+class TestExponentCap:
+    def test_refused_before_allocating(self):
+        for text in ("1^10000000000000000000", "2,1^1000000"):
+            with pytest.raises(BadPartitionSyntax, match="more than"):
+                parse_partition(text)
+
+    def test_digit_strings_too_long_for_int_are_syntax_errors(self):
+        for text in ("1^" + "9" * 5000, "9" * 5000):
+            with pytest.raises(BadPartitionSyntax):
+                parse_partition(text)
+        with pytest.raises(BadPartitionSyntax):
+            parse_int_list("9" * 5000)
+
+    def test_small_exponents_parse(self):
+        assert parse_partition("1^3") == Partition((1, 1, 1))
+        assert len(parse_partition(f"1^{cli.MAX_PARTS}")) == cli.MAX_PARTS
+
+    def test_exit_2(self, capsys):
+        assert main(["core", "1^10000000000000000000", "--p", "3"]) == 2
+        assert "BadPartitionSyntax" in capsys.readouterr().err
 
 
 class TestNonAsciiDigits:
@@ -237,3 +264,124 @@ class TestExitCodes:
         assert errors.DiagHookError.exit_code == 2
         for cls in subclasses:
             assert cls.exit_code == documented.get(cls, 2), cls.__name__
+
+
+class TestInternalErrors:
+    def test_exit_7_without_traceback(self, monkeypatch, capsys):
+        def broken(la, p):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "core_and_quotient", broken)
+        assert main(["core", "3,2,1", "--p", "3"]) == 7
+        err = capsys.readouterr().err
+        assert err == "error: internal: RuntimeError: boom\n"
+
+    def test_argparse_errors_still_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["delta", "--p"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
+REFERENCE_PARSER = build_parser()
+
+
+def reference_main(argv: list[str]) -> int:
+    """`main` as it was before the --quotient pass: argparse reads the whole line."""
+    args = REFERENCE_PARSER.parse_args(argv)
+    try:
+        return args.func(args)
+    except errors.DiagHookError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 7
+
+
+def outcome(run, argv: list[str]) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+TOKENS = ["--quotient", "--quotient=1", "--quotient=", "--quot", "--q", "--core", "--core=1", "--p",
+          "--p=3", "3", "1", "", "2,1", "x", "-1", "--", "--json", "--method", "both", "--from-delta", "-h"]
+# symmetric 3-quotients: component 0 is the conjugate of component 2, component 1 is self-conjugate
+QUOTIENTS = [("1", "", "1"), ("2", "", "1^2"), ("1^2", "1", "2"), ("", "2,1", "")]
+
+
+# a --quotient together with a value, so that the lines often hold whole occurrences
+QUOTIENT_UNITS = st.builds(lambda spaced, v: ["--quotient", v] if spaced else [f"--quotient={v}"],
+                           st.booleans(), st.sampled_from(["", "1", "2,1", "x", "-1", "--p"]))
+TOKEN_LINES = st.lists(st.one_of(st.sampled_from(TOKENS).map(lambda t: [t]), QUOTIENT_UNITS), max_size=8)
+
+
+@st.composite
+def well_formed_with_extras(draw) -> list[str]:
+    units = [["--quotient", q] for q in draw(st.sampled_from(QUOTIENTS))] + [["--p", "3"]]
+    units += [[t] for t in draw(st.lists(st.sampled_from(TOKENS), max_size=4))]
+    return [t for unit in draw(st.permutations(units)) for t in unit]
+
+
+class TestQuotientPass:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(TOKEN_LINES.map(lambda units: [t for unit in units for t in unit]),
+                     well_formed_with_extras()))
+    def test_main_matches_argparse_alone(self, tokens):
+        argv = ["delta", *tokens]
+        assert outcome(main, argv) == outcome(reference_main, argv)
+
+    @pytest.mark.parametrize("tokens", [
+        ["--p", "3", "--quotient", "1", "--", "x", "--quotient", "1"],
+        ["--core", "--quotient", "1", "x", "--p", "3"],
+        ["--p", "--quotient=1", "3"],
+        ["--quot", "2", "--quotient", "", "--quotient", "1^2", "--p", "3"],
+        ["--quotient", "-1", "--quotient", "", "--quotient", "1", "--p", "3"],
+        ["--json", "--quotient", "1", "--quotient", "", "--quotient", "1", "--p", "3"],
+        ["--quotient", "1", "--quotient", "", "--quotient"],
+        ["--quotient=1", "--quotient", "", "--quotient", "1", "--p", "3", "-h"],
+    ])
+    def test_edge_lines_match_argparse_alone(self, tokens):
+        argv = ["delta", *tokens]
+        assert outcome(main, argv) == outcome(reference_main, argv)
+
+    def test_argparse_sees_no_quotient_at_p_997(self, monkeypatch, capsys):
+        seen = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(self, args=None, namespace=None):
+            seen.append(list(args))
+            return parse_args(self, args, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        argv = ["delta", "--core", "1", *["--quotient", ""] * 997, "--p", "997", "--method", "both"]
+        assert main(argv) == 0
+        assert "verdict: AGREE" in capsys.readouterr().out
+        assert seen and not any(t.startswith("--quotient") for line in seen for t in line)
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counting():
+            calls.append(1)
+            return build_parser()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        assert main(["core", "3,2,1", "--p", "3"]) == 0
+        assert main(["delta", "--quotient", "1", "--quotient", "", "--quotient", "1", "--p", "3"]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("spelling", [
+        ["--quot", "2", "--quot", "", "--quot", "1^2"],
+        ["--quotient=2", "--quotient=", "--quotient=1^2"],
+        ["--quotient=2", "--quotient", "", "--quotient=1^2"],
+    ])
+    def test_components_keep_their_order(self, spelling, capsys):
+        assert main(["delta", *spelling, "--p", "3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["quotient"] == [[2], [], [1, 1]]

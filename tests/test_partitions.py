@@ -82,6 +82,32 @@ class TestConstruction:
 
         assert Partition((Size.TWO, 1)).weight == 3
 
+    def test_index_only_parts_become_ints(self):
+        class Two:
+            __index__ = lambda self: 2
+
+        class Three:
+            __index__ = lambda self: 3
+
+        for parts, want in (((Two(),), (2,)), ((3, Two()), (3, 2))):
+            got = Partition(parts).parts
+            assert got == want and all(type(x) is int for x in got)
+        lengths = DeltaSet((Three(), 1)).lengths
+        assert lengths == (3, 1) and type(lengths[0]) is int
+        with pytest.raises(InvalidDeltaSet):
+            DeltaSet((Two(),))
+
+    def test_plain_int_tuple_is_kept(self):
+        parts, lengths = (3, 2, 1), (5, 1)
+        assert Partition(parts).parts is parts
+        assert DeltaSet(lengths).lengths is lengths
+
+    def test_neither_index_nor_ordering_refused(self):
+        with pytest.raises(NonPositivePart):
+            Partition((object(),))
+        with pytest.raises(InvalidDeltaSet):
+            DeltaSet((object(),))
+
 
 class TestConjugate:
     def test_examples(self):
