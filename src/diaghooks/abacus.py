@@ -9,7 +9,7 @@ deterministic.
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .beta import Axis, BetaHook, BetaSet, axis_of, beta_of, partition_of
 from .errors import (
@@ -17,12 +17,10 @@ from .errors import (
     NonEmptyCore,
     NotACore,
     NotAPHook,
-    NotSymmetric,
-    TooFewBeads,
     WrongQuotientLength,
     require_modulus,
 )
-from .partitions import Partition
+from .partitions import Partition, _self_conjugate_arms
 
 
 @dataclass(frozen=True)
@@ -66,10 +64,6 @@ def to_abacus(la: Partition, p: int, bead_count: int | None = None) -> Abacus:
     """Abacus layout of la; bead_count (a multiple of p) overrides the default."""
     require_modulus(p)
     k = _canonical_bead_count(la, p) if bead_count is None else bead_count
-    if k % p != 0:
-        raise BadModulus(f"bead count {k} is not a multiple of {p}")
-    if k < len(la.parts):
-        raise TooFewBeads(f"{k} beads cannot hold {len(la.parts)} parts")
     return Abacus(p, beta_of(la, k))
 
 
@@ -108,10 +102,15 @@ def is_p_core(la: Partition, p: int) -> bool:
     return not any(b >= p and (b - p) not in x for b in x.beads)
 
 
+def _require_components(quotient: Sequence[Partition], p: int) -> None:
+    if len(quotient) != p:
+        raise WrongQuotientLength(f"expected {p} components, got {len(quotient)}")
+
+
 def is_symmetric_quotient(quotient: Sequence[Partition], p: int | None = None) -> bool:
     """True when component g is the conjugate of component p-1-g for every g."""
-    if p is not None and len(quotient) != p:
-        raise WrongQuotientLength(f"expected {p} components, got {len(quotient)}")
+    if p is not None:
+        _require_components(quotient, p)
     n = len(quotient)
     # Conjugation is an involution, so the first half of the pairs decides.
     return all(quotient[g] == quotient[n - 1 - g].conjugate() for g in range((n + 1) // 2))
@@ -125,8 +124,7 @@ def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: in
     """
     require_modulus(p)
     quotient = tuple(quotient)
-    if len(quotient) != p:
-        raise WrongQuotientLength(f"expected {p} components, got {len(quotient)}")
+    _require_components(quotient, p)
     if not is_p_core(core, p):
         raise NotACore(f"{core} has a hook of length {p}")
     counts = [0] * p
@@ -166,8 +164,7 @@ def classify_p_hook(la: Partition, p: int, hook: BetaHook) -> PHookClass:
     right-of-axis hooks to arm cells, left-of-axis hooks to leg cells.
     """
     require_modulus(p)
-    if not la.is_symmetric:
-        raise NotSymmetric(f"{la} is not self-conjugate")
+    _self_conjugate_arms(la)
     ab = to_abacus(la, p)
     if _core_of(ab):
         raise NonEmptyCore(f"{la} has a non-empty {p}-core")

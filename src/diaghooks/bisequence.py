@@ -10,15 +10,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    BadModulus,
-    BadResidue,
     InconsistentQuotient,
-    LengthMismatch,
     NotStrictlyDecreasing,
     NotSymmetricBisequence,
     require_modulus,
+    require_residue,
 )
-from .partitions import DeltaSet, Partition, _check_descending, _frobenius
+from .partitions import DeltaSet, Partition, _check_descending, _checked_frobenius, _frobenius
 
 
 @dataclass(frozen=True)
@@ -32,14 +30,9 @@ class Bisequence:
     arms: tuple[int, ...] = ()
 
     def __post_init__(self):
-        legs = tuple(self.legs)
-        arms = tuple(self.arms)
+        legs, arms = _checked_frobenius(self.legs, self.arms)
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "arms", arms)
-        if len(legs) != len(arms):
-            raise LengthMismatch(f"{len(legs)} legs vs {len(arms)} arms")
-        _check_descending(legs, "legs")
-        _check_descending(arms, "arms")
 
     def __len__(self) -> int:
         return len(self.legs)
@@ -61,9 +54,13 @@ class Bisequence:
 
     def delta(self) -> DeltaSet:
         """Diagonal hook lengths 2*b+1; defined for symmetric data only."""
+        return DeltaSet(tuple(2 * b + 1 for b in self._symmetric_arms()))
+
+    def _symmetric_arms(self) -> tuple[int, ...]:
+        """The arms; raises NotSymmetricBisequence unless they equal the legs."""
         if not self.is_symmetric:
             raise NotSymmetricBisequence("legs and arms differ")
-        return DeltaSet(tuple(2 * b + 1 for b in self.arms))
+        return self.arms
 
 
 @dataclass(frozen=True)
@@ -141,9 +138,7 @@ def quotient_of(d: Bisequence, p: int) -> QuotientBisequence:
 
 def unquotient(q: QuotientBisequence) -> Bisequence:
     """Reassemble a bisequence from its residue entries (inverse of quotient_of)."""
-    p = q.p
-    if len(q.entries) < 2:
-        raise BadModulus(f"need at least 2 residue entries, got {p}")
+    p = require_modulus(q.p)
     legs = []
     arms = []
     for g, entry in enumerate(q.entries):
@@ -153,15 +148,14 @@ def unquotient(q: QuotientBisequence) -> Bisequence:
         raise InconsistentQuotient(f"entries assemble to {len(legs)} legs but {len(arms)} arms")
     try:
         return Bisequence(tuple(sorted(legs, reverse=True)), tuple(sorted(arms, reverse=True)))
-    except (NotStrictlyDecreasing, LengthMismatch) as exc:
+    except NotStrictlyDecreasing as exc:
         raise InconsistentQuotient(str(exc)) from exc
 
 
 def residue_class(d: Bisequence, p: int, g: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The legs and arms of d congruent to g mod p, orders preserved."""
     require_modulus(p)
-    if not 0 <= g < p:
-        raise BadResidue(f"residue {g} not in 0..{p - 1}")
+    require_residue(g, p)
     return (
         tuple(a for a in d.legs if a % p == g),
         tuple(b for b in d.arms if b % p == g),
@@ -184,12 +178,10 @@ def is_gamma_packed(d: Bisequence, p: int, g: int) -> bool:
     The empty class counts as packed. Requires symmetric data, since packing
     is a statement about diagonal (b|b) pairs.
     """
-    if not d.is_symmetric:
-        raise NotSymmetricBisequence("legs and arms differ")
+    arms = d._symmetric_arms()
     require_modulus(p)
-    if not 0 <= g < p:
-        raise BadResidue(f"residue {g} not in 0..{p - 1}")
-    return _is_packed([b for b in d.arms if b % p == g], p, g)
+    require_residue(g, p)
+    return _is_packed([b for b in arms if b % p == g], p, g)
 
 
 def is_symmetric_p_core(d: Bisequence, p: int) -> bool:
@@ -200,10 +192,9 @@ def is_symmetric_p_core(d: Bisequence, p: int) -> bool:
     centre residue of odd p is its own mirror, so it must be empty outright.
     The arms are bucketed by residue in one pass.
     """
-    if not d.is_symmetric:
-        raise NotSymmetricBisequence("legs and arms differ")
+    arms = d._symmetric_arms()
     require_modulus(p)
     classes: dict[int, list[int]] = {}
-    for b in d.arms:
+    for b in arms:
         classes.setdefault(b % p, []).append(b)
     return all(p - 1 - g not in classes and _is_packed(vals, p, g) for g, vals in classes.items())

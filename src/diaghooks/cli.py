@@ -14,9 +14,9 @@ from dataclasses import asdict
 
 from .abacus import core_and_quotient, from_core_and_quotient, is_p_core, p_quotient, render_ascii
 from .bisequence import diagonal_bisequence, is_symmetric_p_core
-from .errors import BadPartitionSyntax, DiagHookError, NotSymmetric
+from .errors import BadPartitionSyntax, DiagHookError
 from .formula import delta_general
-from .partitions import DeltaSet, Partition, delta_of, from_delta_lengths
+from .partitions import DeltaSet, Partition, _self_conjugate_arms, delta_of, from_delta_lengths
 from .verify import run_verify
 
 MAX_PARTS = 10**6  # parse_partition refuses a partition with more parts, before building it
@@ -106,7 +106,8 @@ def cmd_delta(args) -> int:
     core = _input_partition(args.core, args.from_delta)
     quotient = tuple(parse_partition(q) for q in (args.quotient or []))
     p = args.p
-    formula = delta_general(core, quotient, p) if args.method in ("formula", "both") else None
+    checked = delta_general(core, quotient, p)  # validates the pair once, before either route runs
+    formula = checked if args.method in ("formula", "both") else None
     rebuilt = from_core_and_quotient(core, quotient, p)
     oracle = delta_of(rebuilt) if args.method in ("oracle", "both") else None
     shown = formula if formula is not None else oracle
@@ -141,8 +142,7 @@ def cmd_delta(args) -> int:
 
 def cmd_check_core(args) -> int:
     la = _input_partition(args.partition, args.from_delta)
-    if not la.is_symmetric:
-        raise NotSymmetric(f"{la} is not self-conjugate")
+    _self_conjugate_arms(la)
     by_criterion = is_symmetric_p_core(diagonal_bisequence(la), args.p)
     by_hooks = is_p_core(la, args.p)
     agree = by_criterion == by_hooks
@@ -172,16 +172,13 @@ def cmd_verify(args) -> int:
     moduli = parse_int_list(args.primes)
     report = run_verify(args.n_max, moduli)
     if args.json:
-        payload = {
+        print(json.dumps({
             "n_max": report.n_max,
             "primes": list(report.moduli),
             "cells": report.cells,
             "failures": report.failures,
             "first_failure": asdict(report.first_failure) if report.first_failure else None,
-        }
-        if report.first_failure:
-            payload["first_failure"]["partition"] = list(report.first_failure.partition)
-        print(json.dumps(payload))
+        }))
     else:
         print(f"checked {report.cells} (lambda,p) cells, {report.failures} failures")
         if report.first_failure:

@@ -5,6 +5,8 @@ ValueError, so callers that do not care about the fine distinctions can catch
 the usual thing.
 """
 
+import operator
+
 
 class DiagHookError(ValueError):
     """Base class for every error raised by this package.
@@ -124,7 +126,23 @@ class InternalInconsistency(DiagHookError):
     """An internal invariant failed; indicates invalid input or a bug."""
 
 
-def require_modulus(p: int) -> None:
-    """Raise BadModulus unless p is a usable runner count (at least 2)."""
-    if p < 2:
-        raise BadModulus(f"p must be >= 2, got {p}")
+def _as_int(v) -> int:
+    """v as a plain int, via `operator.index`; -1, which every caller refuses, for bool and non-integers."""
+    try:
+        return -1 if isinstance(v, bool) else operator.index(v)
+    except TypeError:
+        return -1
+
+
+def require_modulus(p: int) -> int:
+    """p as a plain int; raises BadModulus unless it is a usable runner count (an integer >= 2)."""
+    n = _as_int(p)
+    if n < 2:
+        raise BadModulus(f"p must be an integer >= 2, got {p!r}")
+    return n
+
+
+def require_residue(g: int, p: int) -> None:
+    """Raise BadResidue unless g is an integer residue 0..p-1 of an already checked modulus p."""
+    if not 0 <= _as_int(g) < p:
+        raise BadResidue(f"residue {g!r} not in 0..{p - 1}")

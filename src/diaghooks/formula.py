@@ -14,18 +14,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .abacus import is_p_core, is_symmetric_quotient
-from .bisequence import QuotientEntry, diagonal_bisequence
+from .bisequence import QuotientEntry
 from .errors import (
-    BadResidue,
     CenterResidue,
     EvenModulus,
     InternalInconsistency,
     NotACore,
-    NotSymmetric,
     NotSymmetricQuotient,
     require_modulus,
+    require_residue,
 )
-from .partitions import DeltaSet, Partition
+from .partitions import DeltaSet, Partition, _frobenius, _self_conjugate_arms
 
 
 @dataclass(frozen=True)
@@ -50,17 +49,15 @@ class CoreCounts:
 def core_counts(core: Partition, p: int) -> CoreCounts:
     """Residue bookkeeping for a symmetric p-core."""
     require_modulus(p)
-    if not core.is_symmetric:
-        raise NotSymmetric(f"{core} is not self-conjugate")
+    arms = _self_conjugate_arms(core)
     if not is_p_core(core, p):
         raise NotACore(f"{core} has a hook of length {p}")
     d0 = [0] * p
-    for b in diagonal_bisequence(core).arms:
+    for b in arms:
         d0[b % p] += 1
-    shifted = tuple(g for g in range(p) if d0[g] > 0)
-    mirrored = tuple(sorted(p - 1 - g for g in shifted))
-    taken = set(shifted) | set(mirrored)
-    untouched = tuple(g for g in range(p) if g not in taken)
+    shifted = tuple(g for g in range(p) if d0[g])
+    mirrored = tuple(g for g in range(p) if d0[p - 1 - g])
+    untouched = tuple(g for g in range(p) if not d0[g] and not d0[p - 1 - g])
     return CoreCounts(tuple(d0), shifted, mirrored, untouched)
 
 
@@ -77,6 +74,14 @@ def shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int
     return s_set, t_set
 
 
+def _shift(legs: Sequence[int], arms: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Descending legs and arms in, descending out: the moved arms are all >= d0,
+    # the new arms d0-s-1 all < d0, and ascending gaps s give descending d0-s-1.
+    s_set, t_set = shift_sets(legs, d0)
+    arms = tuple(a + d0 for a in arms) + tuple(d0 - s - 1 for s in reversed(s_set))
+    return tuple(t - d0 for t in t_set), arms
+
+
 def d0_shift(entry: QuotientEntry, d0: int) -> QuotientEntry:
     """Shift one residue entry by the core's diagonal count d0.
 
@@ -84,10 +89,7 @@ def d0_shift(entry: QuotientEntry, d0: int) -> QuotientEntry:
     d0-s-1; legs at least d0 drop by d0 and stay legs; legs below d0 are
     absorbed. A balanced entry comes out with exactly d0 more arms than legs.
     """
-    s_set, t_set = shift_sets(entry.legs, d0)
-    arms = tuple(a + d0 for a in entry.arms) + tuple(d0 - s - 1 for s in sorted(s_set))
-    legs = tuple(t - d0 for t in t_set)
-    return QuotientEntry(legs=legs, arms=arms)
+    return QuotientEntry(*_shift(entry.legs, entry.arms, d0))
 
 
 def _pair_arm_values(component: Partition, r: int, p: int, d0: int) -> list[int]:
@@ -98,11 +100,12 @@ def _pair_arm_values(component: Partition, r: int, p: int, d0: int) -> list[int]
     component's arms, become arm values at p-1-r. On the centre runner of odd
     p the two residues coincide and only the arms count.
     """
-    d = diagonal_bisequence(component)
-    entry = d0_shift(QuotientEntry(d.legs, d.arms), d0) if d0 else d
-    values = [r + m * p for m in entry.arms]
+    legs, arms = _frobenius(component)
+    if d0:
+        legs, arms = _shift(legs, arms, d0)
+    values = [r + m * p for m in arms]
     if 2 * r != p - 1:
-        values += [(p - 1 - r) + m * p for m in entry.legs]
+        values += [(p - 1 - r) + m * p for m in legs]
     return values
 
 
@@ -122,8 +125,7 @@ def delta_concentrated_pair(component: Partition, g: int, p: int) -> DeltaSet:
     `delta_general`, with no core shift.
     """
     require_modulus(p)
-    if not 0 <= g < p:
-        raise BadResidue(f"residue {g} not in 0..{p - 1}")
+    require_residue(g, p)
     if 2 * g == p - 1:
         raise CenterResidue(f"residue {g} is self-dual for p={p}; use delta_concentrated_center")
     return _delta(_pair_arm_values(component, g, p, 0))
@@ -139,17 +141,8 @@ def delta_concentrated_center(component: Partition, p: int) -> DeltaSet:
     require_modulus(p)
     if p % 2 == 0:
         raise EvenModulus(f"p={p} has no centre runner")
-    if not component.is_symmetric:
-        raise NotSymmetric(f"centre component {component} is not self-conjugate")
+    _self_conjugate_arms(component)
     return _delta(_pair_arm_values(component, (p - 1) // 2, p, 0))
-
-
-def _require_symmetric_quotient(quotient: Sequence[Partition], p: int) -> tuple[Partition, ...]:
-    require_modulus(p)
-    quotient = tuple(quotient)
-    if not is_symmetric_quotient(quotient, p):
-        raise NotSymmetricQuotient("component g must equal conjugate of component p-1-g")
-    return quotient
 
 
 def delta_empty_core(quotient: Sequence[Partition], p: int) -> DeltaSet:
@@ -168,7 +161,10 @@ def delta_general(core: Partition, quotient: Sequence[Partition], p: int) -> Del
     contributes runner r's arms and legs unshifted. Every arm value b then
     gives the length 2*b + 1.
     """
-    quotient = _require_symmetric_quotient(quotient, p)
+    require_modulus(p)
+    quotient = tuple(quotient)
+    if not is_symmetric_quotient(quotient, p):
+        raise NotSymmetricQuotient("component g must equal conjugate of component p-1-g")
     d0 = core_counts(core, p).d0
     arm_values: list[int] = []
     for r in range((p + 1) // 2):

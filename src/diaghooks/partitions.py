@@ -6,7 +6,6 @@ first-class value. All quantities fit comfortably in native integers; the
 library is meant for desk-scale weights (n up to a few thousand at most).
 """
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -18,17 +17,8 @@ from .errors import (
     NonPositivePart,
     NotStrictlyDecreasing,
     NotSymmetric,
+    _as_int,
 )
-
-
-def _as_int(v) -> int:
-    """v as a plain int, via `operator.index`; 0, which every caller refuses, for bool and non-integers."""
-    if isinstance(v, bool):
-        return 0
-    try:
-        return operator.index(v)
-    except TypeError:
-        return 0
 
 
 @dataclass(frozen=True)
@@ -119,6 +109,14 @@ def _frobenius(la: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(legs), tuple(arms)
 
 
+def _self_conjugate_arms(la: Partition) -> tuple[int, ...]:
+    """la's diagonal arms, from one Frobenius walk; raises NotSymmetric unless la is self-conjugate."""
+    legs, arms = _frobenius(la)
+    if legs != arms:
+        raise NotSymmetric(f"{la} is not self-conjugate")
+    return arms
+
+
 @dataclass(frozen=True)
 class Hook:
     """A hook with corner (row, col): the corner cell, its arm, and its leg."""
@@ -195,8 +193,7 @@ def diagonal_hooks(la: Partition) -> list[Hook]:
 
 def delta_of(la: Partition) -> DeltaSet:
     """Diagonal hook lengths of a self-conjugate partition, largest first."""
-    if not la.is_symmetric:
-        raise NotSymmetric(f"{la} is not self-conjugate")
+    _self_conjugate_arms(la)
     return DeltaSet(tuple(h.length for h in diagonal_hooks(la)))
 
 
@@ -208,18 +205,23 @@ def _check_descending(seq: tuple[int, ...], what: str) -> None:
         raise NotStrictlyDecreasing(f"{what} must be non-negative")
 
 
+def _checked_frobenius(legs: Iterable[int], arms: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """legs and arms as tuples; raises unless they are equally long, strictly decreasing and non-negative."""
+    legs, arms = tuple(legs), tuple(arms)
+    if len(legs) != len(arms):
+        raise LengthMismatch(f"{len(legs)} legs vs {len(arms)} arms")
+    _check_descending(legs, "legs")
+    _check_descending(arms, "arms")
+    return legs, arms
+
+
 def from_frobenius(legs: Iterable[int], arms: Iterable[int]) -> Partition:
     """The unique partition whose diagonal hooks have these legs and arms.
 
     Inverse of diagonal_hooks: legs[i] and arms[i] are the leg and arm of the
     hook cornered at cell (i+1, i+1).
     """
-    legs = tuple(legs)
-    arms = tuple(arms)
-    if len(legs) != len(arms):
-        raise LengthMismatch(f"{len(legs)} legs vs {len(arms)} arms")
-    _check_descending(legs, "legs")
-    _check_descending(arms, "arms")
+    legs, arms = _checked_frobenius(legs, arms)
     t = len(legs)
     rows = [arms[i] + i + 1 for i in range(t)]
     if legs:
@@ -258,8 +260,8 @@ def enumerate_partitions(n: int, symmetric_only: bool = False) -> Iterator[Parti
     order), generated directly from their diagonal hook lengths: the
     partitions of n into distinct odd parts.
     """
-    if n < 0:
-        raise NonPositivePart(f"cannot partition {n}")
+    if _as_int(n) < 0:
+        raise NonPositivePart(f"cannot partition {n!r}")
     if symmetric_only:
         yield from map(from_delta_lengths, _distinct_odd_parts(n, n))
         return

@@ -5,7 +5,7 @@ from typing import Iterable
 
 from .abacus import core_and_quotient, from_core_and_quotient, is_p_core
 from .bisequence import diagonal_bisequence, is_symmetric_p_core
-from .errors import BadModulus, NonPositivePart, require_modulus
+from .errors import BadModulus, NonPositivePart, _as_int, require_modulus
 from .formula import delta_general
 from .partitions import Partition, delta_of, enumerate_partitions
 
@@ -57,15 +57,14 @@ def run_verify(n_max: int, moduli: Iterable[int]) -> VerifyReport:
     the direct hook check. Deterministic iteration order: n ascending,
     enumeration order, p ascending.
     """
-    if n_max < 0:
-        raise NonPositivePart(f"n_max must be >= 0, got {n_max}")
-    moduli = tuple(sorted(set(int(p) for p in moduli)))
+    n_top = _as_int(n_max)
+    if n_top < 0:
+        raise NonPositivePart(f"n_max must be an integer >= 0, got {n_max!r}")
+    moduli = tuple(sorted({require_modulus(p) for p in moduli}))
     if not moduli:
         raise BadModulus("need at least one modulus")
-    for p in moduli:
-        require_modulus(p)
-    report = VerifyReport(n_max=n_max, moduli=moduli)
-    for n in range(n_max + 1):
+    report = VerifyReport(n_max=n_top, moduli=moduli)
+    for n in range(n_top + 1):
         for la in enumerate_partitions(n, symmetric_only=True):
             for p in moduli:
                 report.cells += 1

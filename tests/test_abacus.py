@@ -53,6 +53,13 @@ class TestLayout:
         with pytest.raises(BadModulus):
             to_abacus(P((1,)), 3, bead_count=4)
 
+    @pytest.mark.parametrize("p", [2.5, 3.0, "3", True, None])
+    def test_non_integer_modulus(self, p):
+        with pytest.raises(BadModulus):
+            p_core(P((3,)), p)
+        with pytest.raises(BadModulus):
+            from_core_and_quotient(P(()), [P(())] * 3, p)
+
 
 class TestCore:
     def test_examples(self):

@@ -142,6 +142,14 @@ class TestResidueClass:
         with pytest.raises(BadResidue):
             residue_class(Bisequence((), ()), 3, 3)
 
+    @pytest.mark.parametrize("g", [1.0, "1", True, -1])
+    def test_non_integer_residue(self, g):
+        d = diagonal_bisequence(P((3, 2, 1)))
+        with pytest.raises(BadResidue):
+            residue_class(d, 3, g)
+        with pytest.raises(BadResidue):
+            is_gamma_packed(d, 3, g)
+
 
 class TestConcentrated:
     def test_examples(self):

@@ -178,6 +178,19 @@ class TestDeltaCommand:
                      "--quotient", "", "--p", "3"]) == 5
         assert main(["delta", "--core", "", "--quotient", "1", "--p", "3"]) == 5
 
+    @pytest.mark.parametrize("method", ["formula", "oracle", "both"])
+    @pytest.mark.parametrize("core, first, code", [
+        ("", "1", 5),  # an asymmetric quotient
+        ("2", "1", 5),  # the quotient is checked before the core
+        ("3,2,1", "1", 5),
+        ("2", "", 6),  # a symmetric quotient, an asymmetric core
+        ("3,2,1", "", 4),  # a symmetric quotient, a symmetric core with a 3-hook
+    ])
+    def test_every_method_checks_the_pair_the_same_way(self, method, core, first, code, capsys):
+        assert main(["delta", "--core", core, "--quotient", first, "--quotient", "",
+                     "--quotient", "", "--p", "3", "--method", method]) == code
+        assert capsys.readouterr().out == ""
+
 
 class TestCheckCoreCommand:
     def test_running_core_via_delta_entry(self, capsys):
@@ -230,6 +243,12 @@ class TestVerifyCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["cells"] == 112
         assert data["failures"] == 0 and data["first_failure"] is None
+
+    def test_defaults(self, capsys):
+        assert main(["verify", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["n_max"] == 20 and data["primes"] == [3, 5, 7]
+        assert data["cells"] == 3 * 56 and data["failures"] == 0
 
 
 class TestJsonRoundtrip:

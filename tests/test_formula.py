@@ -3,7 +3,7 @@ import pytest
 from conftest import partitions_up_to, symmetric_up_to
 from diaghooks.abacus import from_core_and_quotient, p_core, p_quotient, to_abacus
 from diaghooks.beta import axis_of
-from diaghooks.bisequence import QuotientEntry, diagonal_bisequence
+from diaghooks.bisequence import Bisequence, QuotientEntry, diagonal_bisequence
 from diaghooks.errors import (
     BadModulus,
     BadResidue,
@@ -302,3 +302,26 @@ class TestOneRunnerPairLoop:
             monkeypatch.setattr(formula, name, counting(name))
         delta_general(core, QUOTIENT_190, 5)
         assert calls == {"is_symmetric_quotient": 1, "is_p_core": 1}
+
+
+class TestTrustedKernels:
+    @pytest.mark.parametrize("core", [P(()), from_delta_lengths(CORE_DELTA)], ids=["empty", "weight-514"])
+    def test_delta_general_builds_no_bisequence_or_quotient_entry(self, monkeypatch, core):
+        expected = delta_of(from_core_and_quotient(core, QUOTIENT_190, 5))
+        built = []
+        for cls in (Bisequence, QuotientEntry):
+            inner = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, inner=inner: built.append(self) or inner(self))
+        assert delta_general(core, QUOTIENT_190, 5) == expected
+        assert built == []
+
+    def test_shift_kernel_follows_the_d0_shift_definition(self):
+        # The definition in d0_shift's docstring, sorted here; the kernel returns it in order without sorting.
+        for la in partitions_up_to(9):
+            d = diagonal_bisequence(la)
+            for d0 in range(1, 5):
+                gaps = [s for s in range(d0) if s not in d.legs]
+                arms = tuple(sorted([a + d0 for a in d.arms] + [d0 - s - 1 for s in gaps], reverse=True))
+                legs = tuple(t - d0 for t in d.legs if t >= d0)
+                assert formula._shift(d.legs, d.arms, d0) == (legs, arms)
+                assert d0_shift(QuotientEntry(d.legs, d.arms), d0) == QuotientEntry(legs, arms)

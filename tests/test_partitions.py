@@ -253,6 +253,12 @@ class TestEnumeration:
         with pytest.raises(NonPositivePart):
             list(enumerate_partitions(-1))
 
+    @pytest.mark.parametrize("n", [6.5, "6", True])
+    @pytest.mark.parametrize("symmetric_only", [False, True])
+    def test_non_integer(self, n, symmetric_only):
+        with pytest.raises(NonPositivePart):
+            list(enumerate_partitions(n, symmetric_only))
+
     def test_counts_against_dp(self):
         for n in range(23):
             assert sum(1 for _ in enumerate_partitions(n)) == _partition_count(n)

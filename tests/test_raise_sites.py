@@ -1,0 +1,33 @@
+"""Each input rule is raised from one place, so its copies cannot drift apart."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import diaghooks
+
+SINGLE_SITE_RULES = (
+    "BadResidue",
+    "NotSymmetric",
+    "NotSymmetricBisequence",
+    "LengthMismatch",
+    "WrongQuotientLength",
+    "TooFewBeads",
+)
+
+
+def raise_sites() -> Counter:
+    """`raise Name(...)` statements per exception name across the package sources."""
+    sites: Counter = Counter()
+    for path in sorted(Path(diaghooks.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                sites[call.func.id] += 1
+    return sites
+
+
+def test_each_input_rule_has_one_raise_site():
+    sites = raise_sites()
+    assert {name: sites[name] for name in SINGLE_SITE_RULES} == dict.fromkeys(SINGLE_SITE_RULES, 1)
+
