@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .beta import Axis, BetaHook, BetaSet, axis_of, beta_of, partition_of
+from .beta import Axis, BetaHook, BetaSet, _beads, axis_of, beta_of, partition_of
 from .errors import (
     BadModulus,
     NonEmptyCore,
@@ -20,7 +20,7 @@ from .errors import (
     WrongQuotientLength,
     require_modulus,
 )
-from .partitions import Partition, _self_conjugate_arms
+from .partitions import Partition, _columns, _self_conjugate_arms
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ def core_and_quotient(la: Partition, p: int) -> tuple[Partition, tuple[Partition
 def is_p_core(la: Partition, p: int) -> bool:
     """Direct check: no bead sits exactly p above a space."""
     require_modulus(p)
-    x = beta_of(la, len(la.parts))
-    return not any(b >= p and (b - p) not in x for b in x.beads)
+    beads = set(_beads(la.parts, len(la.parts)))
+    return not any(b >= p and (b - p) not in beads for b in beads)
 
 
 def _require_components(quotient: Sequence[Partition], p: int) -> None:
@@ -113,7 +113,7 @@ def is_symmetric_quotient(quotient: Sequence[Partition], p: int | None = None) -
         _require_components(quotient, p)
     n = len(quotient)
     # Conjugation is an involution, so the first half of the pairs decides.
-    return all(quotient[g] == quotient[n - 1 - g].conjugate() for g in range((n + 1) // 2))
+    return all(quotient[g].parts == _columns(quotient[n - 1 - g].parts) for g in range((n + 1) // 2))
 
 
 def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: int) -> Partition:
@@ -128,14 +128,14 @@ def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: in
     if not is_p_core(core, p):
         raise NotACore(f"{core} has a hook of length {p}")
     counts = [0] * p
-    for pos in beta_of(core, _canonical_bead_count(core, p)).beads:
+    for pos in _beads(core.parts, _canonical_bead_count(core, p)):
         counts[pos % p] += 1
     # p more beads push every bead one row down and add one bead per runner,
     # so the runner counts at k + j*p beads are the counts at k, plus j.
     j = max(0, max(len(q.parts) - c for q, c in zip(quotient, counts)))
     beads = []
     for g in range(p):
-        beads.extend(g + m * p for m in beta_of(quotient[g], counts[g] + j).beads)
+        beads.extend(g + m * p for m in _beads(quotient[g].parts, counts[g] + j))
     return partition_of(BetaSet(tuple(beads)))
 
 

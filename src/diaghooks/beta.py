@@ -10,7 +10,7 @@ by storing 2*theta (an odd integer) instead of the half-integer theta.
 from dataclasses import dataclass
 
 from .bisequence import Bisequence
-from .errors import InvalidBetaSet, NotAPHook, TooFewBeads
+from .errors import InvalidBetaSet, NotAPHook, TooFewBeads, _as_int, _ints
 from .partitions import Hook, Partition
 
 
@@ -21,14 +21,14 @@ class BetaSet:
     beads: tuple[int, ...] = ()
 
     def __post_init__(self):
-        beads = tuple(sorted(self.beads))
+        given = tuple(self.beads)
+        beads = tuple(sorted(_ints(given)))
         object.__setattr__(self, "beads", beads)
         object.__setattr__(self, "_members", frozenset(beads))
         if beads and beads[0] < 0:
-            raise InvalidBetaSet(f"bead position {beads[0]} is negative")
-        for a, b in zip(beads, beads[1:]):
-            if a == b:
-                raise InvalidBetaSet(f"duplicate bead position {a}")
+            raise InvalidBetaSet(f"bead position {min(given, key=_as_int)!r} is not a non-negative integer")
+        if len(self._members) < len(beads):
+            raise InvalidBetaSet(f"duplicate bead position {next(a for a, b in zip(beads, beads[1:]) if a == b)}")
 
     def __contains__(self, pos: int) -> bool:
         return pos in self._members
@@ -96,22 +96,23 @@ class Axis:
         return 2 * pos > self.two_theta
 
 
+def _beads(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The k >= len(parts) bead positions encoding these rows, largest first: row i at parts[i-1] + k - i."""
+    return tuple(part + k - i for i, part in enumerate(parts, 1)) + tuple(range(k - len(parts) - 1, -1, -1))
+
+
 def beta_of(la: Partition, k: int) -> BetaSet:
     """First-column bead encoding of la with exactly k beads."""
-    if k < len(la.parts):
-        raise TooFewBeads(f"need at least {len(la.parts)} beads for {la}, got {k}")
-    parts = la.parts + (0,) * (k - len(la.parts))
-    return BetaSet(tuple(parts[i] + k - (i + 1) for i in range(k)))
+    n = _as_int(k)
+    if n < len(la.parts):
+        raise TooFewBeads(f"need an integer bead count >= {len(la.parts)} for {la}, got {k!r}")
+    return BetaSet(_beads(la.parts, n))
 
 
 def partition_of(x: BetaSet) -> Partition:
     """The partition encoded by a bead set (inverse of beta_of at k = len)."""
-    k = len(x)
-    parts = []
-    for idx, b in enumerate(reversed(x.beads)):
-        part = b - (k - 1 - idx)
-        if part > 0:
-            parts.append(part)
+    parts = [b - j for j, b in enumerate(x.beads) if b > j]  # the j-th smallest bead has j beads below it
+    parts.reverse()
     return Partition(tuple(parts))
 
 

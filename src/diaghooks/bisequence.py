@@ -13,6 +13,7 @@ from .errors import (
     InconsistentQuotient,
     NotStrictlyDecreasing,
     NotSymmetricBisequence,
+    _ints,
     require_modulus,
     require_residue,
 )
@@ -75,12 +76,10 @@ class QuotientEntry:
     arms: tuple[int, ...] = ()
 
     def __post_init__(self):
-        legs = tuple(sorted(self.legs, reverse=True))
-        arms = tuple(sorted(self.arms, reverse=True))
+        legs = _check_descending(sorted(_ints(self.legs), reverse=True), "legs")
+        arms = _check_descending(sorted(_ints(self.arms), reverse=True), "arms")
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "arms", arms)
-        _check_descending(legs, "legs")
-        _check_descending(arms, "arms")
 
     @property
     def is_empty(self) -> bool:

@@ -134,6 +134,12 @@ def _as_int(v) -> int:
         return -1
 
 
+def _ints(values) -> tuple[int, ...]:
+    """values as a tuple of plain ints, each read by `_as_int`; a tuple of plain ints is returned as it is."""
+    values = tuple(values)
+    return values if {int}.issuperset(map(type, values)) else tuple(map(_as_int, values))
+
+
 def require_modulus(p: int) -> int:
     """p as a plain int; raises BadModulus unless it is a usable runner count (an integer >= 2)."""
     n = _as_int(p)

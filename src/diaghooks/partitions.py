@@ -18,6 +18,7 @@ from .errors import (
     NotStrictlyDecreasing,
     NotSymmetric,
     _as_int,
+    _ints,
 )
 
 
@@ -32,15 +33,11 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        parts = tuple(self.parts)
-        ints = None  # a copy of parts, made at the first part that is not a plain int
+        given = tuple(self.parts)
+        parts = _ints(given)
         for k, part in enumerate(parts):
-            if type(part) is not int:
-                ints = ints or list(parts)
-                ints[k] = part = _as_int(part)
             if part < 1:
-                raise NonPositivePart(f"part #{k + 1} is {parts[k]!r}, must be an integer >= 1")
-        parts = tuple(ints) if ints else parts
+                raise NonPositivePart(f"part #{k + 1} is {given[k]!r}, must be an integer >= 1")
         object.__setattr__(self, "parts", parts)
         for a, b in zip(parts, parts[1:]):
             if b > a:
@@ -78,22 +75,24 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Partition of the column lengths; an involution."""
-        parts = self.parts
-        if not parts:
-            return Partition(())
-        cols = []
-        j = len(parts) - 1
-        for c in range(1, parts[0] + 1):
-            while parts[j] < c:
-                j -= 1
-            cols.append(j + 1)
-        return Partition(tuple(cols))
+        return Partition(_columns(self.parts))
 
     @property
     def is_symmetric(self) -> bool:
         """True when the partition equals its conjugate: its diagonal legs equal its arms."""
         legs, arms = _frobenius(self)
         return legs == arms
+
+
+def _columns(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Column lengths of the diagram with these weakly decreasing rows, in one walk up the rows."""
+    cols = []
+    j = len(parts) - 1
+    for c in range(1, (parts[0] if parts else 0) + 1):
+        while parts[j] < c:
+            j -= 1
+        cols.append(j + 1)
+    return tuple(cols)
 
 
 def _frobenius(la: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -142,15 +141,11 @@ class DeltaSet:
     lengths: tuple[int, ...] = ()
 
     def __post_init__(self):
-        lengths = tuple(self.lengths)
-        ints = None  # as in Partition
+        given = tuple(self.lengths)
+        lengths = _ints(given)
         for k, d in enumerate(lengths):
-            if type(d) is not int:
-                ints = ints or list(lengths)
-                ints[k] = d = _as_int(d)
             if d < 1 or d % 2 == 0:
-                raise InvalidDeltaSet(f"{lengths[k]!r} is not a positive odd integer")
-        lengths = tuple(ints) if ints else lengths
+                raise InvalidDeltaSet(f"{given[k]!r} is not a positive odd integer")
         object.__setattr__(self, "lengths", lengths)
         for a, b in zip(lengths, lengths[1:]):
             if b >= a:
@@ -169,11 +164,12 @@ class DeltaSet:
 
 def hook_at(la: Partition, i: int, j: int) -> Hook:
     """The hook of [la] with corner cell (i, j), 1-based."""
-    if i < 1 or j < 1 or i > len(la.parts) or j > la.parts[i - 1]:
-        raise CellOutOfDiagram(f"cell ({i},{j}) is not in the diagram of {la}")
-    arm = la.parts[i - 1] - j
-    leg = sum(1 for p in la.parts[i:] if p >= j)
-    return Hook(row=i, col=j, arm=arm, leg=leg)
+    row, col = _ints((i, j))
+    if row < 1 or col < 1 or row > len(la.parts) or col > la.parts[row - 1]:
+        raise CellOutOfDiagram(f"cell ({i!r},{j!r}) is not in the diagram of {la}")
+    arm = la.parts[row - 1] - col
+    leg = sum(1 for p in la.parts[row:] if p >= col)
+    return Hook(row=row, col=col, arm=arm, leg=leg)
 
 
 def all_hooks(la: Partition) -> list[Hook]:
@@ -197,22 +193,23 @@ def delta_of(la: Partition) -> DeltaSet:
     return DeltaSet(tuple(h.length for h in diagonal_hooks(la)))
 
 
-def _check_descending(seq: tuple[int, ...], what: str) -> None:
+def _check_descending(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """values as ints; raises unless >= 0 (tested first, as a refused value reads -1) and strictly decreasing."""
+    seq = _ints(values)
+    if seq and min(seq) < 0:
+        raise NotStrictlyDecreasing(f"{what} must be non-negative integers")
     for a, b in zip(seq, seq[1:]):
         if b >= a:
             raise NotStrictlyDecreasing(f"{what} must strictly decrease, found {a} then {b}")
-    if seq and seq[-1] < 0:
-        raise NotStrictlyDecreasing(f"{what} must be non-negative")
+    return seq
 
 
 def _checked_frobenius(legs: Iterable[int], arms: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """legs and arms as tuples; raises unless they are equally long, strictly decreasing and non-negative."""
+    """legs and arms as int tuples; raises unless equally long, strictly decreasing and non-negative."""
     legs, arms = tuple(legs), tuple(arms)
     if len(legs) != len(arms):
         raise LengthMismatch(f"{len(legs)} legs vs {len(arms)} arms")
-    _check_descending(legs, "legs")
-    _check_descending(arms, "arms")
-    return legs, arms
+    return _check_descending(legs, "legs"), _check_descending(arms, "arms")
 
 
 def from_frobenius(legs: Iterable[int], arms: Iterable[int]) -> Partition:
@@ -222,12 +219,9 @@ def from_frobenius(legs: Iterable[int], arms: Iterable[int]) -> Partition:
     hook cornered at cell (i+1, i+1).
     """
     legs, arms = _checked_frobenius(legs, arms)
-    t = len(legs)
-    rows = [arms[i] + i + 1 for i in range(t)]
-    if legs:
-        for i in range(t + 1, legs[0] + 2):
-            rows.append(sum(1 for jj in range(t) if legs[jj] + jj + 1 >= i))
-    return Partition(tuple(rows))
+    rows = tuple(a + i for i, a in enumerate(arms, 1))
+    # Only the t Durfee columns, of lengths legs[i-1] + i, reach below row t: those rows are their conjugate.
+    return Partition(rows + _columns(tuple(b + i for i, b in enumerate(legs, 1)))[len(legs):])
 
 
 def from_delta_lengths(lengths: Iterable[int]) -> Partition:

@@ -4,10 +4,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .abacus import core_and_quotient, from_core_and_quotient, is_p_core
-from .bisequence import diagonal_bisequence, is_symmetric_p_core
+from .bisequence import Bisequence, diagonal_bisequence, is_symmetric_p_core
 from .errors import BadModulus, NonPositivePart, _as_int, require_modulus
 from .formula import delta_general
-from .partitions import Partition, delta_of, enumerate_partitions
+from .partitions import DeltaSet, Partition, delta_of, enumerate_partitions
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class VerifyReport:
         return self.failures == 0
 
 
-def _cell_problems(la: Partition, p: int) -> list[tuple[str, str]]:
+def _cell_problems(la: Partition, p: int, oracle: DeltaSet, diagonal: Bisequence) -> list[tuple[str, str]]:
     problems = []
     core, quotient = core_and_quotient(la, p)
     rebuilt = from_core_and_quotient(core, quotient, p)
@@ -41,10 +41,9 @@ def _cell_problems(la: Partition, p: int) -> list[tuple[str, str]]:
     if core.weight + p * sum(c.weight for c in quotient) != la.weight:
         problems.append(("weight", f"core {core.weight} + {p}*quotient != {la.weight}"))
     formula = delta_general(core, quotient, p)
-    oracle = delta_of(la)
     if formula != oracle:
         problems.append(("delta", f"formula {formula.lengths} vs diagram {oracle.lengths}"))
-    if is_symmetric_p_core(diagonal_bisequence(la), p) != is_p_core(la, p):
+    if is_symmetric_p_core(diagonal, p) != is_p_core(la, p):
         problems.append(("core-criterion", "residue test disagrees with direct hook check"))
     return problems
 
@@ -66,9 +65,10 @@ def run_verify(n_max: int, moduli: Iterable[int]) -> VerifyReport:
     report = VerifyReport(n_max=n_top, moduli=moduli)
     for n in range(n_top + 1):
         for la in enumerate_partitions(n, symmetric_only=True):
+            oracle, diagonal = delta_of(la), diagonal_bisequence(la)
             for p in moduli:
                 report.cells += 1
-                for check, detail in _cell_problems(la, p):
+                for check, detail in _cell_problems(la, p, oracle, diagonal):
                     report.failures += 1
                     if report.first_failure is None:
                         report.first_failure = Failure(n, la.parts, p, check, detail)

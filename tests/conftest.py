@@ -1,7 +1,8 @@
-"""Shared sweep caches and hypothesis strategies."""
+"""Shared sweep caches, hypothesis strategies and a call-counting fixture."""
 
 from functools import lru_cache
 
+import pytest
 from hypothesis import strategies as st
 
 from diaghooks.beta import BetaSet
@@ -34,3 +35,24 @@ def partitions(draw, max_part: int = 10, max_rows: int = 8) -> Partition:
 def bead_sets(draw, max_pos: int = 24, max_beads: int = 9) -> BetaSet:
     beads = draw(st.sets(st.integers(0, max_pos), max_size=max_beads))
     return BetaSet(tuple(beads))
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name) wraps owner.name, a function or method such as `__post_init__`, for the test.
+
+    Returns the list each call appends its positional arguments to; a method's first one is the instance.
+    """
+
+    def wrap(owner, name):
+        calls = []
+        inner = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    return wrap

@@ -23,6 +23,7 @@ from diaghooks.errors import (
     NotACore,
     NotAPHook,
     NotSymmetric,
+    TooFewBeads,
     WrongQuotientLength,
 )
 from diaghooks.partitions import Partition, all_hooks
@@ -298,3 +299,40 @@ class TestSymmetricQuotientHalf:
         monkeypatch.setattr(P, "conjugate", counting)
         assert is_symmetric_quotient(quotient, p)
         assert len(calls) <= (p + 1) // 2
+
+
+class TestBeadKernel:
+    @pytest.mark.parametrize("core, quotient", [
+        (P(()), (P(()),) * 997),
+        (P((3, 1, 1)), (P(()), P((1,) * 5), P(()), P(()), P((2, 2)), P(()))),
+    ], ids=["p997-empty", "p6-long-component"])
+    def test_rebuild_builds_one_bead_set(self, count_calls, core, quotient):
+        p = len(quotient)
+        built = count_calls(BetaSet, "__post_init__")
+        la = from_core_and_quotient(core, quotient, p)
+        assert len(built) <= 1
+        assert core_and_quotient(la, p) == (core, quotient)
+
+    def test_direct_core_test_builds_no_bead_set(self, count_calls):
+        cases = [(la, p) for la in partitions_up_to(10) for p in (2, 3, 5)]
+        by_hooks = [all(h.length != p for h in all_hooks(la)) for la, p in cases]
+        built = count_calls(BetaSet, "__post_init__")
+        assert [is_p_core(la, p) for la, p in cases] == by_hooks
+        assert built == []
+
+    @pytest.mark.parametrize("p", [7, 8])
+    def test_symmetric_quotient_test_builds_no_partition(self, count_calls, p):
+        half = [P((3, 1)), P(()), P((2, 2, 1)), P((1,))][: p // 2]
+        centre = [P((2, 1))] if p % 2 else []
+        symmetric = tuple(half + centre + [c.conjugate() for c in reversed(half)])
+        skewed = symmetric[:-1] + (P((2,)),)
+        built = count_calls(P, "__post_init__")
+        assert is_symmetric_quotient(symmetric, p)
+        assert not is_symmetric_quotient(skewed, p)
+        assert built == []
+
+    @pytest.mark.parametrize("bead_count", [2.5, "4", True])
+    def test_bead_count_must_be_an_integer(self, bead_count):
+        with pytest.raises(TooFewBeads) as info:
+            to_abacus(P((1,)), 2, bead_count)
+        assert str(info.value).endswith(f"got {bead_count!r}")

@@ -197,3 +197,24 @@ class TestSymmetryFromBeads:
     def test_symmetric_sweep(self):
         for la in symmetric_up_to(20):
             assert is_symmetric_beta(beta_of(la, len(la.parts) + 2))
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("beads, shown", [((0.5, 2), "0.5"), ((True, 2), "True"), ((3, "1"), "'1'")])
+    def test_bead_positions_must_be_integers(self, beads, shown):
+        with pytest.raises(InvalidBetaSet) as info:
+            BetaSet(beads)
+        assert f"position {shown} " in str(info.value)
+
+    @pytest.mark.parametrize("k", [2.5, "4", True, None])
+    def test_bead_count_must_be_an_integer(self, k):
+        with pytest.raises(TooFewBeads) as info:
+            beta_of(Partition((1,)), k)
+        assert str(info.value).endswith(f"got {k!r}")
+
+    def test_index_only_values_are_read_as_ints(self):
+        class Three:
+            __index__ = lambda self: 3
+
+        assert BetaSet((Three(), 1)).beads == (1, 3)
+        assert beta_of(Partition((1,)), Three()).beads == (0, 1, 3)

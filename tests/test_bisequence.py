@@ -216,3 +216,22 @@ class TestCoreCriterion:
                     expected = diagonal_bisequence(comp)
                     assert q[g].legs == expected.legs
                     assert q[g].arms == expected.arms
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("legs, arms", [((1.5,), (0.5,)), ((3, "a", 1), (2, 1, 0)), ((2, 1), (1, True))])
+    def test_bisequence_values_must_be_integers(self, legs, arms):
+        with pytest.raises(NotStrictlyDecreasing, match="must be non-negative integers"):
+            Bisequence(legs, arms)
+
+    @pytest.mark.parametrize("legs, arms", [(("a",), ()), ((), (2, 0.5)), ((True,), ()), ((1, None), (0,))])
+    def test_quotient_entry_values_must_be_integers(self, legs, arms):
+        with pytest.raises(NotStrictlyDecreasing, match="must be non-negative integers"):
+            QuotientEntry(legs, arms)
+
+    def test_index_only_values_are_read_as_ints(self):
+        class Two:
+            __index__ = lambda self: 2
+
+        assert Bisequence((Two(), 0), (1, 0)) == Bisequence((2, 0), (1, 0))
+        assert QuotientEntry((0, Two()), (Two(),)) == QuotientEntry((2, 0), (2,))

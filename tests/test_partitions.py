@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import partitions, partitions_up_to, symmetric_up_to
-from diaghooks.bisequence import diagonal_bisequence
+from diaghooks.bisequence import Bisequence, diagonal_bisequence
 from diaghooks.errors import (
     CellOutOfDiagram,
     InvalidDeltaSet,
@@ -321,3 +321,38 @@ class TestDiagonalBisequence:
     def test_matches_diagonal_hooks_random(self, la):
         d = diagonal_bisequence(la)
         assert (d.legs, d.arms) == self._from_hooks(la)
+
+
+class TestColumnKernel:
+    @pytest.mark.parametrize("legs, arms", [((2000, 5, 0), (2000, 5, 0)), ((2000, 5, 0), (3, 2, 1)), ((0,), (700,))])
+    def test_long_column_matches_the_row_definition(self, legs, arms):
+        # Row r > t counts the Durfee columns i whose length legs[i-1] + i reaches r.
+        t = len(legs)
+        below = [sum(1 for i in range(1, t + 1) if legs[i - 1] + i >= r) for r in range(t + 1, legs[0] + 2)]
+        la = from_frobenius(legs, arms)
+        assert la.parts == tuple(a + i for i, a in enumerate(arms, 1)) + tuple(below)
+        assert diagonal_bisequence(la) == Bisequence(legs, arms)
+
+    def test_long_column_builds_one_partition(self, count_calls):
+        built = count_calls(Partition, "__post_init__")
+        la = from_delta_lengths((4001, 11, 1))
+        assert len(built) == 1 and len(la) == 2001
+
+    @pytest.mark.parametrize("legs, arms", [((1.5,), (0,)), ((1,), (0.5,)), (("2", 0), (1, 0))])
+    def test_frobenius_values_must_be_integers(self, legs, arms):
+        with pytest.raises(NotStrictlyDecreasing, match="must be non-negative integers"):
+            from_frobenius(legs, arms)
+
+
+class TestHookIndices:
+    @pytest.mark.parametrize("i, j, shown", [(1.0, 1, "(1.0,1)"), (1, "1", "(1,'1')"), (True, 1, "(True,1)")])
+    def test_cell_indices_must_be_integers(self, i, j, shown):
+        with pytest.raises(CellOutOfDiagram) as info:
+            hook_at(Partition((2, 1)), i, j)
+        assert f"cell {shown} " in str(info.value)
+
+    def test_index_only_indices_are_read_as_ints(self):
+        class One:
+            __index__ = lambda self: 1
+
+        assert hook_at(Partition((2, 1)), One(), One()) == hook_at(Partition((2, 1)), 1, 1)

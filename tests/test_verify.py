@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import symmetric_up_to
+from diaghooks import verify
 from diaghooks.errors import BadModulus, NonPositivePart
 from diaghooks.verify import run_verify
 
@@ -29,3 +31,11 @@ def test_index_only_moduli_and_n_max_are_read_as_ints():
     report = run_verify(Five(), [Five(), 3])
     assert report.n_max == 5 and report.moduli == (3, 5)
     assert report.cells == 2 * 5 and report.ok  # one self-conjugate partition of each n <= 5 but 2
+
+
+def test_partition_only_values_are_read_once_per_partition(count_calls):
+    oracles = count_calls(verify, "delta_of")
+    diagonals = count_calls(verify, "diagonal_bisequence")
+    report = run_verify(12, (3, 5, 7))
+    assert report.ok and report.cells == 3 * len(symmetric_up_to(12))
+    assert [args[0] for args in oracles] == [args[0] for args in diagonals] == list(symmetric_up_to(12))
