@@ -9,9 +9,9 @@ deterministic.
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .beta import Axis, BetaHook, BetaSet, _beads, axis_of, beta_of, partition_of
+from .beta import Axis, BetaHook, BetaSet, _beads, _parts, axis_of, beta_of
 from .errors import (
     BadModulus,
     NonEmptyCore,
@@ -46,11 +46,8 @@ class Abacus:
 
     @functools.cached_property
     def runners(self) -> tuple[BetaSet, ...]:
-        """Every runner's bead rows, bucketed in one O(k + p) pass over the beads."""
-        rows: list[list[int]] = [[] for _ in range(self.p)]
-        for pos in self.beads:
-            rows[pos % self.p].append(pos // self.p)
-        return tuple(BetaSet(tuple(r)) for r in rows)
+        """Every runner's bead rows, each a bead set."""
+        return tuple(BetaSet(tuple(r)) for r in _rows(self.beads, self.p))
 
     def axis(self) -> Axis:
         return axis_of(self.beads)
@@ -67,13 +64,22 @@ def to_abacus(la: Partition, p: int, bead_count: int | None = None) -> Abacus:
     return Abacus(p, beta_of(la, k))
 
 
-def _core_of(ab: Abacus) -> Partition:
-    pushed = [g + m * ab.p for g in range(ab.p) for m in range(len(ab.runner(g)))]
-    return partition_of(BetaSet(tuple(pushed)))
+def _rows(beads: Iterable[int], p: int) -> list[list[int]]:
+    """The rows of the beads on each of p runners, in the beads' order, bucketed in one O(k + p) pass."""
+    rows: list[list[int]] = [[] for _ in range(p)]
+    for pos in beads:
+        rows[pos % p].append(pos // p)
+    return rows
 
 
-def _quotient_of(ab: Abacus) -> tuple[Partition, ...]:
-    return tuple(partition_of(ab.runner(g)) for g in range(ab.p))
+def _core_of(rows: list[list[int]]) -> Partition:
+    # one sort of p ascending runs: a row-by-row walk over all p runners is quadratic on one long runner
+    p = len(rows)
+    return Partition(_parts(sorted(g + m * p for g, r in enumerate(rows) for m in range(len(r)))))
+
+
+def _quotient_of(rows: list[list[int]]) -> tuple[Partition, ...]:
+    return tuple(map(Partition, map(_parts, rows)))
 
 
 def p_core(la: Partition, p: int) -> Partition:
@@ -81,18 +87,18 @@ def p_core(la: Partition, p: int) -> Partition:
 
     The result has no hook of length p and does not depend on the bead count.
     """
-    return _core_of(to_abacus(la, p))
+    return _core_of(_rows(to_abacus(la, p).beads, p))
 
 
 def p_quotient(la: Partition, p: int) -> tuple[Partition, ...]:
     """The p partitions read off the runners of the canonical abacus."""
-    return _quotient_of(to_abacus(la, p))
+    return _quotient_of(_rows(to_abacus(la, p).beads, p))
 
 
 def core_and_quotient(la: Partition, p: int) -> tuple[Partition, tuple[Partition, ...]]:
     """p_core and p_quotient read off one abacus layout."""
-    ab = to_abacus(la, p)
-    return _core_of(ab), _quotient_of(ab)
+    rows = _rows(to_abacus(la, p).beads, p)
+    return _core_of(rows), _quotient_of(rows)
 
 
 def is_p_core(la: Partition, p: int) -> bool:
@@ -127,16 +133,14 @@ def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: in
     _require_components(quotient, p)
     if not is_p_core(core, p):
         raise NotACore(f"{core} has a hook of length {p}")
-    counts = [0] * p
-    for pos in _beads(core.parts, _canonical_bead_count(core, p)):
-        counts[pos % p] += 1
+    counts = [len(r) for r in _rows(_beads(core.parts, _canonical_bead_count(core, p)), p)]
     # p more beads push every bead one row down and add one bead per runner,
     # so the runner counts at k + j*p beads are the counts at k, plus j.
     j = max(0, max(len(q.parts) - c for q, c in zip(quotient, counts)))
-    beads = []
+    beads = []  # distinct: each is one (runner, row)
     for g in range(p):
         beads.extend(g + m * p for m in _beads(quotient[g].parts, counts[g] + j))
-    return partition_of(BetaSet(tuple(beads)))
+    return Partition(_parts(sorted(beads)))
 
 
 class HookSide(enum.Enum):
@@ -166,7 +170,7 @@ def classify_p_hook(la: Partition, p: int, hook: BetaHook) -> PHookClass:
     require_modulus(p)
     _self_conjugate_arms(la)
     ab = to_abacus(la, p)
-    if _core_of(ab):
+    if _core_of(_rows(ab.beads, p)):
         raise NonEmptyCore(f"{la} has a non-empty {p}-core")
     x = ab.beads
     if hook.y < 0 or hook.x - hook.y != p or hook.x not in x or hook.y in x:

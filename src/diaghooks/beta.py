@@ -109,11 +109,16 @@ def beta_of(la: Partition, k: int) -> BetaSet:
     return BetaSet(_beads(la.parts, n))
 
 
+def _parts(ascending) -> tuple[int, ...]:
+    """The parts, largest first, encoded by distinct bead positions given in ascending order."""
+    parts = [b - j for j, b in enumerate(ascending) if b > j]  # the j-th smallest bead has j beads below it
+    parts.reverse()
+    return tuple(parts)
+
+
 def partition_of(x: BetaSet) -> Partition:
     """The partition encoded by a bead set (inverse of beta_of at k = len)."""
-    parts = [b - j for j, b in enumerate(x.beads) if b > j]  # the j-th smallest bead has j beads below it
-    parts.reverse()
-    return Partition(tuple(parts))
+    return Partition(_parts(x.beads))
 
 
 def hooks_of(x: BetaSet) -> list[BetaHook]:

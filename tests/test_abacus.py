@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from diaghooks.abacus import (
     render_ascii,
     to_abacus,
 )
-from diaghooks.beta import BetaHook, BetaSet, axis_of, beta_of, young_hook
+from diaghooks.beta import BetaHook, BetaSet, axis_of, beta_of, partition_of, young_hook
 from diaghooks.errors import (
     BadModulus,
     NonEmptyCore,
@@ -336,3 +338,67 @@ class TestBeadKernel:
         with pytest.raises(TooFewBeads) as info:
             to_abacus(P((1,)), 2, bead_count)
         assert str(info.value).endswith(f"got {bead_count!r}")
+
+
+def _by_runner_bead_sets(la, p):
+    """core_and_quotient read through `Abacus.runners` and `partition_of`."""
+    runners = to_abacus(la, p).runners
+    pushed = BetaSet(tuple(g + m * p for g, r in enumerate(runners) for m in range(len(r))))
+    return partition_of(pushed), tuple(partition_of(r) for r in runners)
+
+
+def _rebuild_by_runner_bead_sets(core, quotient, p):
+    """from_core_and_quotient on a core layout with enough beads on every runner, through bead sets."""
+    k = p * (len(core.parts) + max(len(q.parts) for q in quotient) + 1)
+    runners = to_abacus(core, p, k).runners
+    beads = [g + m * p for g, r in enumerate(runners) for m in beta_of(quotient[g], len(r))]
+    return partition_of(BetaSet(tuple(beads)))
+
+
+class TestRowLists:
+    @given(partitions(), st.integers(2, 13))
+    def test_readers_agree_with_runner_bead_sets(self, la, p):
+        core, quotient = _by_runner_bead_sets(la, p)
+        assert core_and_quotient(la, p) == (core, quotient)
+        assert p_core(la, p) == core
+        assert p_quotient(la, p) == quotient
+        assert from_core_and_quotient(core, quotient, p) == la
+        assert _rebuild_by_runner_bead_sets(core, quotient, p) == la
+
+    @given(partitions(max_part=6, max_rows=5), st.integers(2, 13), st.data())
+    def test_rebuild_agrees_with_runner_bead_sets(self, core_seed, p, data):
+        core = p_core(core_seed, p)
+        quotient = tuple(data.draw(partitions(max_part=4, max_rows=4)) for _ in range(p))
+        la = from_core_and_quotient(core, quotient, p)
+        assert la == _rebuild_by_runner_bead_sets(core, quotient, p)
+        assert core_and_quotient(la, p) == (core, quotient)
+
+    @pytest.mark.parametrize("la, p", [(P((4, 1, 1, 1)), 3), (P((5, 3, 3, 2, 1)), 4), (P((1,)), 997),
+                                       (P((6, 6, 2)), 997)])
+    @pytest.mark.parametrize("reader", [core_and_quotient, p_core, p_quotient])
+    def test_readers_build_one_bead_set(self, count_calls, reader, la, p):
+        built = count_calls(BetaSet, "__post_init__")
+        runner = count_calls(abacus.Abacus, "runner")
+        reader(la, p)
+        assert len(built) == 1
+        assert runner == []
+
+    @pytest.mark.parametrize("core, quotient", [
+        (P(()), (P(()),) * 997),
+        (P((1,)), (P((2, 2, 1)), P(()), P((1, 1, 1, 1)), P((3,)))),
+        (P((3, 1, 1)), (P(()), P((1,) * 5), P(()), P(()), P((2, 2)), P(()))),
+    ], ids=["p997-empty", "p4", "p6-long-component"])
+    def test_rebuild_builds_no_bead_set(self, count_calls, core, quotient):
+        built = count_calls(BetaSet, "__post_init__")
+        runner = count_calls(abacus.Abacus, "runner")
+        from_core_and_quotient(core, quotient, len(quotient))
+        assert built == []
+        assert runner == []
+
+    def test_core_of_one_long_runner_is_quick(self):
+        # every bead on runner 0 at rows 0..p-1: a p-core, and a row-by-row walk over p runners is p^2 steps
+        p = 2000
+        la = P(tuple((p - i) * (p - 1) for i in range(1, p)))
+        start = time.perf_counter()
+        assert p_core(la, p) == la
+        assert time.perf_counter() - start < 0.2
