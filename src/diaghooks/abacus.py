@@ -72,9 +72,8 @@ def _rows(beads: Iterable[int], p: int) -> list[list[int]]:
     return rows
 
 
-def _core_of(rows: list[list[int]]) -> Partition:
+def _core_of(rows: list[list[int]], p: int) -> Partition:
     # one sort of p ascending runs: a row-by-row walk over all p runners is quadratic on one long runner
-    p = len(rows)
     return Partition(_parts(sorted(g + m * p for g, r in enumerate(rows) for m in range(len(r)))))
 
 
@@ -87,7 +86,7 @@ def p_core(la: Partition, p: int) -> Partition:
 
     The result has no hook of length p and does not depend on the bead count.
     """
-    return _core_of(_rows(to_abacus(la, p).beads, p))
+    return _core_of(_rows(to_abacus(la, p).beads, p), p)
 
 
 def p_quotient(la: Partition, p: int) -> tuple[Partition, ...]:
@@ -98,7 +97,7 @@ def p_quotient(la: Partition, p: int) -> tuple[Partition, ...]:
 def core_and_quotient(la: Partition, p: int) -> tuple[Partition, tuple[Partition, ...]]:
     """p_core and p_quotient read off one abacus layout."""
     rows = _rows(to_abacus(la, p).beads, p)
-    return _core_of(rows), _quotient_of(rows)
+    return _core_of(rows, p), _quotient_of(rows)
 
 
 def is_p_core(la: Partition, p: int) -> bool:
@@ -170,7 +169,7 @@ def classify_p_hook(la: Partition, p: int, hook: BetaHook) -> PHookClass:
     require_modulus(p)
     _self_conjugate_arms(la)
     ab = to_abacus(la, p)
-    if _core_of(_rows(ab.beads, p)):
+    if _core_of(_rows(ab.beads, p), p):
         raise NonEmptyCore(f"{la} has a non-empty {p}-core")
     x = ab.beads
     if hook.y < 0 or hook.x - hook.y != p or hook.x not in x or hook.y in x:

@@ -47,12 +47,7 @@ class BetaSet:
     @property
     def first_space(self) -> int:
         """Smallest non-negative position without a bead."""
-        s = 0
-        for b in self.beads:
-            if b != s:
-                break
-            s += 1
-        return s
+        return next((s for s, b in enumerate(self.beads) if b != s), len(self.beads))
 
     def shifted(self, steps: int = 1) -> "BetaSet":
         """Equivalent encoding with `steps` beads pushed in at the origin."""
@@ -111,9 +106,7 @@ def beta_of(la: Partition, k: int) -> BetaSet:
 
 def _parts(ascending) -> tuple[int, ...]:
     """The parts, largest first, encoded by distinct bead positions given in ascending order."""
-    parts = [b - j for j, b in enumerate(ascending) if b > j]  # the j-th smallest bead has j beads below it
-    parts.reverse()
-    return tuple(parts)
+    return tuple(reversed([b - j for j, b in enumerate(ascending) if b > j]))  # the j-th smallest has j below it
 
 
 def partition_of(x: BetaSet) -> Partition:
@@ -123,12 +116,7 @@ def partition_of(x: BetaSet) -> Partition:
 
 def hooks_of(x: BetaSet) -> list[BetaHook]:
     """All hooks (y, x]: one per cell of the encoded diagram, sorted by (x, y)."""
-    out = []
-    for b in x.beads:
-        for y in range(b):
-            if y not in x:
-                out.append(BetaHook(y, b))
-    return out
+    return [BetaHook(y, b) for b in x.beads for y in range(b) if y not in x]
 
 
 def young_hook(x: BetaSet, hook: BetaHook) -> Hook:

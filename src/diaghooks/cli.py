@@ -256,32 +256,30 @@ def _split_quotients(argv: list[str]) -> tuple[list[str], list[str] | None]:
     argparse rescans every option index per option it consumes, O(k^2) in k
     options, and a query at modulus p has p of them. A line stays whole, with
     values None, unless each --quotient is spelled in full, follows `delta`, an
-    argument, a flag or a `--quotient=`, and has an argument for value, and no
-    `--` or abbreviation `--q...` occurs: then argparse reads the rest as before.
+    argument or a `--quotient=`, and has an argument for value, and no `--` or
+    abbreviation `--q...` occurs: then argparse reads the rest as before.
     """
     whole = argv, None
     if not argv or argv[0] != "delta" or "--" in argv:
         return whole
-    delta = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["delta"]
-    flags = {s for a in delta._actions if a.nargs == 0 for s in a.option_strings}  # options that take no value
     rest, values = ["delta"], []
-    settled = True  # nothing before the next token awaits a value: `delta` is no option
+    after_arg = True  # `delta` is no option, so nothing before the first token awaits a value
     tokens = iter(argv[1:])
     for token in tokens:
         if token == "--quotient":
             value = next(tokens, "-")  # a missing value is refused like an option
-            if not (settled and _is_arg(value)):
+            if not (after_arg and _is_arg(value)):
                 return whole
             values.append(value)
         elif token.startswith("--quotient="):
-            if not settled:
+            if not after_arg:
                 return whole
             values.append(token[len("--quotient="):])
         elif token.startswith("--q"):
             return whole
         else:
             rest.append(token)
-            settled = _is_arg(token) or token in flags
+            after_arg = _is_arg(token)
     return rest, values
 
 

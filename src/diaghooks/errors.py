@@ -137,10 +137,7 @@ def _as_int(v) -> int:
 def _ints(values) -> tuple[int, ...]:
     """values as a tuple of plain ints, each read by `_as_int`; a tuple of plain ints is returned as it is."""
     values = tuple(values)
-    for v in values:
-        if type(v) is not int:
-            return tuple(map(_as_int, values))
-    return values
+    return values if {int}.issuperset(map(type, values)) else tuple(map(_as_int, values))
 
 
 def require_modulus(p: int) -> int:

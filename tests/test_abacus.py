@@ -396,8 +396,9 @@ class TestRowLists:
         assert runner == []
 
     def test_core_of_one_long_runner_is_quick(self):
-        # every bead on runner 0 at rows 0..p-1: a p-core, and a row-by-row walk over p runners is p^2 steps
-        p = 2000
+        # every bead on runner 0 at rows 0..p-1: a p-core, and a row-by-row walk over p runners is p^2 steps,
+        # about a second at this p against a few ms for one sort of the p pushed beads
+        p = 4000
         la = P(tuple((p - i) * (p - 1) for i in range(1, p)))
         start = time.perf_counter()
         assert p_core(la, p) == la
