@@ -132,6 +132,11 @@ def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: in
     _require_components(quotient, p)
     if not is_p_core(core, p):
         raise NotACore(f"{core} has a hook of length {p}")
+    return _rebuild(core, quotient, p)
+
+
+def _rebuild(core: Partition, quotient: Sequence[Partition], p: int) -> Partition:
+    """from_core_and_quotient on a pair already checked: a p-core and p components."""
     counts = [len(r) for r in _rows(_beads(core.parts, _canonical_bead_count(core, p)), p)]
     # p more beads push every bead one row down and add one bead per runner,
     # so the runner counts at k + j*p beads are the counts at k, plus j.
@@ -193,7 +198,7 @@ def render_ascii(la: Partition, p: int) -> str:
     ab = to_abacus(la, p)
     axis_row = len(ab.beads) // p
     lines = []
-    for row in range(max(ab.rows, axis_row)):
+    for row in range(ab.rows):
         cells = ["●" if (row * p + g) in ab.beads else "·" for g in range(p)]
         lines.append(" ".join(cells))
         if row + 1 == axis_row:

@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .abacus import core_and_quotient, from_core_and_quotient, is_p_core, p_quotient, render_ascii
+from .abacus import _rebuild, core_and_quotient, is_p_core, p_quotient, render_ascii
 from .bisequence import diagonal_bisequence, is_symmetric_p_core
 from .errors import BadPartitionSyntax, DiagHookError
 from .formula import delta_general
@@ -104,11 +104,11 @@ def cmd_quotient(args) -> int:
 
 def cmd_delta(args) -> int:
     core = _input_partition(args.core, args.from_delta)
-    quotient = tuple(parse_partition(q) for q in (args.quotient or []))
+    quotient = tuple(parse_partition(q) for q in args.quotient)
     p = args.p
     checked = delta_general(core, quotient, p)  # validates the pair once, before either route runs
     formula = checked if args.method in ("formula", "both") else None
-    rebuilt = from_core_and_quotient(core, quotient, p)
+    rebuilt = _rebuild(core, quotient, p)  # the guard above checked all the public rebuild would
     oracle = delta_of(rebuilt) if args.method in ("oracle", "both") else None
     shown = formula if formula is not None else oracle
     expected = core.weight + p * sum(c.weight for c in quotient)
@@ -255,9 +255,9 @@ def _split_quotients(argv: list[str]) -> tuple[list[str], list[str] | None]:
 
     argparse rescans every option index per option it consumes, O(k^2) in k
     options, and a query at modulus p has p of them. A line stays whole, with
-    values None, unless each --quotient is spelled in full, follows `delta`, an
-    argument or a `--quotient=`, and has an argument for value, and no `--` or
-    abbreviation `--q...` occurs: then argparse reads the rest as before.
+    values None, unless each --quotient is spelled `--quotient VALUE`, follows
+    `delta` or an argument, and has an argument for value, and no `--` or other
+    `--q...` token (`--quotient=VALUE`, `--quot`) occurs: then argparse reads the rest.
     """
     whole = argv, None
     if not argv or argv[0] != "delta" or "--" in argv:
@@ -271,10 +271,6 @@ def _split_quotients(argv: list[str]) -> tuple[list[str], list[str] | None]:
             if not (after_arg and _is_arg(value)):
                 return whole
             values.append(value)
-        elif token.startswith("--quotient="):
-            if not after_arg:
-                return whole
-            values.append(token[len("--quotient="):])
         elif token.startswith("--q"):
             return whole
         else:

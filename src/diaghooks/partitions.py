@@ -49,9 +49,6 @@ class Partition:
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
-    def __bool__(self) -> bool:
-        return bool(self.parts)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diaghooks import cli, errors
+from diaghooks import abacus, cli, errors, formula
 from diaghooks.cli import build_parser, main, parse_int_list, parse_partition
 from diaghooks.errors import BadPartitionSyntax, NonMonotonic
 from diaghooks.partitions import Partition
@@ -190,6 +190,18 @@ class TestDeltaCommand:
         assert main(["delta", "--core", core, "--quotient", first, "--quotient", "",
                      "--quotient", "", "--p", "3", "--method", method]) == code
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["delta", "--core", "1", "--quotient", "1", "--quotient", "", "--quotient", "1", "--p", "3"],
+        ["delta", "--core", "1", *["--quotient", ""] * 997, "--p", "997", "--method", "both"],
+    ], ids=["p3", "p997"])
+    def test_checks_the_pair_once_per_line(self, argv, count_calls, capsys):
+        core_checks = [count_calls(formula, "is_p_core"), count_calls(abacus, "is_p_core")]
+        symmetry_checks = count_calls(formula, "is_symmetric_quotient")
+        assert main(argv) == 0
+        assert "verdict: AGREE" in capsys.readouterr().out
+        assert sum(map(len, core_checks)) == 1
+        assert len(symmetry_checks) == 1
 
 
 class TestCheckCoreCommand:
@@ -382,6 +394,23 @@ class TestQuotientPass:
         assert main(argv) == 0
         assert "verdict: AGREE" in capsys.readouterr().out
         assert seen and not any(t.startswith("--quotient") for line in seen for t in line)
+
+    def test_equals_spelling_reaches_argparse_whole(self, monkeypatch, capsys):
+        seen = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(self, args=None, namespace=None):
+            seen.append(list(args))
+            return parse_args(self, args, namespace)
+
+        spaced = ["delta", "--quotient", "2", "--quotient", "", "--quotient", "1^2", "--p", "3", "--json"]
+        assert main(spaced) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        argv = ["delta", "--quotient=2", "--quotient=", "--quotient=1^2", "--p", "3", "--json"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        assert seen == [argv]
 
     def test_parser_built_once(self, monkeypatch, capsys):
         calls = []
