@@ -9,7 +9,7 @@ deterministic.
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .beta import Axis, BetaHook, BetaSet, _beads, _parts, axis_of, beta_of
 from .errors import (
@@ -20,7 +20,7 @@ from .errors import (
     WrongQuotientLength,
     require_modulus,
 )
-from .partitions import Partition, _columns, _self_conjugate_arms
+from .partitions import Partition, _columns, _rows, _self_conjugate_arms
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,6 @@ def to_abacus(la: Partition, p: int, bead_count: int | None = None) -> Abacus:
     require_modulus(p)
     k = _canonical_bead_count(la, p) if bead_count is None else bead_count
     return Abacus(p, beta_of(la, k))
-
-
-def _rows(beads: Iterable[int], p: int) -> list[list[int]]:
-    """The rows of the beads on each of p runners, in the beads' order, bucketed in one O(k + p) pass."""
-    rows: list[list[int]] = [[] for _ in range(p)]
-    for pos in beads:
-        rows[pos % p].append(pos // p)
-    return rows
 
 
 def _core_of(rows: list[list[int]], p: int) -> Partition:

@@ -51,9 +51,10 @@ class BetaSet:
 
     def shifted(self, steps: int = 1) -> "BetaSet":
         """Equivalent encoding with `steps` beads pushed in at the origin."""
-        if steps < 0:
-            raise InvalidBetaSet("cannot shift by a negative amount")
-        return BetaSet(tuple(range(steps)) + tuple(b + steps for b in self.beads))
+        n = _as_int(steps)
+        if n < 0:
+            raise InvalidBetaSet(f"shift must be an integer >= 0, got {steps!r}")
+        return BetaSet(tuple(range(n)) + tuple(b + n for b in self.beads))
 
     def minimal(self) -> "BetaSet":
         """Canonical representative: shift left until position 0 is a space."""

@@ -7,7 +7,7 @@ is lossless and is what the runner formulas in `formula` operate on.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     InconsistentQuotient,
@@ -17,7 +17,7 @@ from .errors import (
     require_modulus,
     require_residue,
 )
-from .partitions import DeltaSet, Partition, _check_descending, _checked_frobenius, _frobenius
+from .partitions import DeltaSet, Partition, _check_descending, _checked_frobenius, _frobenius, _rows
 
 
 @dataclass(frozen=True)
@@ -125,14 +125,9 @@ def quotient_of(d: Bisequence, p: int) -> QuotientBisequence:
 
     The placement is lossless; `unquotient` recovers d exactly.
     """
-    require_modulus(p)
-    legs: list[list[int]] = [[] for _ in range(p)]
-    arms: list[list[int]] = [[] for _ in range(p)]
-    for a in d.legs:
-        legs[p - 1 - (a % p)].append(a // p)
-    for b in d.arms:
-        arms[b % p].append(b // p)
-    return QuotientBisequence(tuple(QuotientEntry(tuple(ls), tuple(ar)) for ls, ar in zip(legs, arms)))
+    p = require_modulus(p)
+    legs, arms = _rows(d.legs, p), _rows(d.arms, p)
+    return QuotientBisequence(tuple(map(QuotientEntry, reversed(legs), arms)))
 
 
 def unquotient(q: QuotientBisequence) -> Bisequence:
@@ -166,9 +161,9 @@ def is_concentrated(d: Bisequence, p: int, residues: Iterable[int]) -> bool:
     return quotient_of(d, p).populated == frozenset(residues)
 
 
-def _is_packed(vals: Sequence[int], p: int, g: int) -> bool:
-    """True when the descending residue-g values vals are exactly g+r*p, ..., g+p, g."""
-    return all(v == g + i * p for i, v in enumerate(reversed(vals)))
+def _is_packed(rows: list[int]) -> bool:
+    """True when one residue class's descending rows are exactly r, ..., 1, 0."""
+    return rows == list(range(len(rows) - 1, -1, -1))
 
 
 def is_gamma_packed(d: Bisequence, p: int, g: int) -> bool:
@@ -178,9 +173,9 @@ def is_gamma_packed(d: Bisequence, p: int, g: int) -> bool:
     is a statement about diagonal (b|b) pairs.
     """
     arms = d._symmetric_arms()
-    require_modulus(p)
+    p = require_modulus(p)
     require_residue(g, p)
-    return _is_packed([b for b in arms if b % p == g], p, g)
+    return _is_packed(_rows(arms, p)[g])
 
 
 def is_symmetric_p_core(d: Bisequence, p: int) -> bool:
@@ -192,8 +187,6 @@ def is_symmetric_p_core(d: Bisequence, p: int) -> bool:
     The arms are bucketed by residue in one pass.
     """
     arms = d._symmetric_arms()
-    require_modulus(p)
-    classes: dict[int, list[int]] = {}
-    for b in arms:
-        classes.setdefault(b % p, []).append(b)
-    return all(p - 1 - g not in classes and _is_packed(vals, p, g) for g, vals in classes.items())
+    p = require_modulus(p)
+    rows = _rows(arms, p)
+    return all(not r or (not rows[p - 1 - g] and _is_packed(r)) for g, r in enumerate(rows))

@@ -24,7 +24,7 @@ from .errors import (
     require_modulus,
     require_residue,
 )
-from .partitions import DeltaSet, Partition, _frobenius, _self_conjugate_arms
+from .partitions import DeltaSet, Partition, _frobenius, _rows, _self_conjugate_arms
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,15 @@ class CoreCounts:
 
 def core_counts(core: Partition, p: int) -> CoreCounts:
     """Residue bookkeeping for a symmetric p-core."""
-    require_modulus(p)
+    p = require_modulus(p)
     arms = _self_conjugate_arms(core)
     if not is_p_core(core, p):
         raise NotACore(f"{core} has a hook of length {p}")
-    d0 = [0] * p
-    for b in arms:
-        d0[b % p] += 1
+    d0 = tuple(map(len, _rows(arms, p)))
     shifted = tuple(g for g in range(p) if d0[g])
     mirrored = tuple(g for g in range(p) if d0[p - 1 - g])
     untouched = tuple(g for g in range(p) if not d0[g] and not d0[p - 1 - g])
-    return CoreCounts(tuple(d0), shifted, mirrored, untouched)
+    return CoreCounts(d0, shifted, mirrored, untouched)
 
 
 def shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -105,6 +105,14 @@ def _frobenius(la: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(legs), tuple(arms)
 
 
+def _rows(beads: Iterable[int], p: int) -> list[list[int]]:
+    """Beads, legs or arms by residue: g + m*p is row m of runner g, in the values' order, in one O(k + p) pass."""
+    rows: list[list[int]] = [[] for _ in range(p)]
+    for pos in beads:
+        rows[pos % p].append(pos // p)
+    return rows
+
+
 def _self_conjugate_arms(la: Partition) -> tuple[int, ...]:
     """la's diagonal arms, from one Frobenius walk; raises NotSymmetric unless la is self-conjugate."""
     legs, arms = _frobenius(la)

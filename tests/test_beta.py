@@ -218,3 +218,15 @@ class TestIntegerRule:
 
         assert BetaSet((Three(), 1)).beads == (1, 3)
         assert beta_of(Partition((1,)), Three()).beads == (0, 1, 3)
+
+    @pytest.mark.parametrize("steps", [True, 2.5, "2", -1])
+    def test_shift_must_be_a_non_negative_integer(self, steps):
+        with pytest.raises(InvalidBetaSet) as info:
+            BetaSet((1,)).shifted(steps)
+        assert str(info.value) == f"shift must be an integer >= 0, got {steps!r}"
+
+    def test_index_only_shift_is_read_as_int(self):
+        class Two:
+            __index__ = lambda self: 2
+
+        assert BetaSet((1,)).shifted(Two()) == BetaSet((1,)).shifted(2) == BetaSet((0, 1, 3))

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import partitions_up_to, symmetric_up_to
+from diaghooks import abacus, bisequence, formula
 from diaghooks.abacus import is_p_core, p_core, p_quotient
 from diaghooks.bisequence import (
     Bisequence,
@@ -235,3 +236,49 @@ class TestIntegerRule:
 
         assert Bisequence((Two(), 0), (1, 0)) == Bisequence((2, 0), (1, 0))
         assert QuotientEntry((0, Two()), (Two(),)) == QuotientEntry((2, 0), (2,))
+
+    def test_index_only_modulus_is_read_as_int(self):
+        class Five:
+            __index__ = lambda self: 5
+
+        d = diagonal_bisequence(from_delta_lengths(CORE_DELTA))
+        assert quotient_of(d, Five()) == quotient_of(d, 5)
+        assert is_symmetric_p_core(d, Five()) and is_gamma_packed(d, Five(), 4)
+
+
+class TestOneBucketingRule:
+    def test_every_residue_split_goes_through_rows(self, count_calls):
+        assert abacus._rows is bisequence._rows is formula._rows
+        core = from_delta_lengths(CORE_DELTA)
+        d = diagonal_bisequence(core)
+        for owner, call, expected in (
+            (bisequence, lambda: quotient_of(d, 5), 2),
+            (bisequence, lambda: is_symmetric_p_core(d, 5), 1),
+            (bisequence, lambda: is_gamma_packed(d, 5, 4), 1),
+            (formula, lambda: formula.core_counts(core, 5), 1),
+        ):
+            calls = count_calls(owner, "_rows")
+            call()
+            assert len(calls) == expected
+
+    @pytest.mark.parametrize("p", [97, 997])
+    def test_core_criterion_at_large_p(self, p):
+        centre = (p - 1) // 2
+        cases = {
+            (3, 3 + p, 3 + 2 * p): True,  # one packed class, mirror p-4 empty
+            (3, 3 + p, 10): True,  # two packed classes
+            (p - 1, 3 + p, 3): True,  # residues p-1 and 3 packed, mirrors 0 and p-4 empty
+            (3 + p,): False,  # class 3 misses its row 0
+            (p - 4, 3): False,  # classes 3 and p-4 mirror each other
+            (centre,): False,  # the centre runner is its own mirror
+        }
+        for arms, expected in cases.items():
+            la = from_delta_lengths(sorted((2 * b + 1 for b in arms), reverse=True))
+            d = diagonal_bisequence(la)
+            assert is_symmetric_p_core(d, p) == is_p_core(la, p) == expected, arms
+
+    @pytest.mark.parametrize("p", [97, 997])
+    def test_quotient_round_trip_at_large_p(self, p):
+        for la in symmetric_up_to(30):
+            d = diagonal_bisequence(la)
+            assert unquotient(quotient_of(d, p)) == d

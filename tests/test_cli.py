@@ -15,6 +15,7 @@ from diaghooks import abacus, cli, errors, formula
 from diaghooks.cli import build_parser, main, parse_int_list, parse_partition
 from diaghooks.errors import BadPartitionSyntax, NonMonotonic
 from diaghooks.partitions import Partition
+from diaghooks.verify import VerifyReport
 
 WEIGHT_190 = ["--quotient", "6^2,2", "--quotient", "3", "--quotient", "2^2",
               "--quotient", "1^3", "--quotient", "3^2,2^4"]
@@ -261,6 +262,17 @@ class TestVerifyCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["n_max"] == 20 and data["primes"] == [3, 5, 7]
         assert data["cells"] == 3 * 56 and data["failures"] == 0
+
+    def test_n_max_is_bounded_before_the_sweep(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_verify", lambda n_max, moduli: calls.append(n_max) or VerifyReport(n_max, (3,)))
+        assert cli.MAX_N_MAX == 120
+        assert main(["verify", "--n-max", "121"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: BadPartitionSyntax: --n-max 121 is above 120\n"
+        assert calls == []
+        assert main(["verify", "--n-max", "120"]) == 0
+        assert calls == [120]
 
 
 class TestJsonRoundtrip:
