@@ -20,7 +20,7 @@ from .errors import (
     WrongQuotientLength,
     require_modulus,
 )
-from .partitions import Partition, _columns, _rows, _self_conjugate_arms
+from .partitions import _EMPTY, Partition, _columns, _rows, _self_conjugate_arms
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,8 @@ def _core_of(rows: list[list[int]], p: int) -> Partition:
 
 
 def _quotient_of(rows: list[list[int]]) -> tuple[Partition, ...]:
-    return tuple(map(Partition, map(_parts, rows)))
+    # an ascending row that ends at len - 1 is packed: it decodes to no parts
+    return tuple(Partition(_parts(r)) if r and r[-1] >= len(r) else _EMPTY for r in rows)
 
 
 def p_core(la: Partition, p: int) -> Partition:
@@ -135,7 +136,11 @@ def _rebuild(core: Partition, quotient: Sequence[Partition], p: int) -> Partitio
     j = max(0, max(len(q.parts) - c for q, c in zip(quotient, counts)))
     beads = []  # distinct: each is one (runner, row)
     for g in range(p):
-        beads.extend(g + m * p for m in _beads(quotient[g].parts, counts[g] + j))
+        parts = quotient[g].parts
+        if parts:
+            beads.extend(g + m * p for m in _beads(parts, counts[g] + j))
+        else:  # an empty component is rows 0 .. counts[g] + j - 1 of its runner
+            beads.extend(range(g, g + (counts[g] + j) * p, p))
     return Partition(_parts(sorted(beads)))
 
 

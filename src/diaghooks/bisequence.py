@@ -90,6 +90,9 @@ class QuotientEntry:
         return len(self.legs) == len(self.arms)
 
 
+_EMPTY_ENTRY = QuotientEntry()  # shared by every residue with no legs and no arms
+
+
 @dataclass(frozen=True)
 class QuotientBisequence:
     """One QuotientEntry per residue 0..p-1."""
@@ -127,7 +130,8 @@ def quotient_of(d: Bisequence, p: int) -> QuotientBisequence:
     """
     p = require_modulus(p)
     legs, arms = _rows(d.legs, p), _rows(d.arms, p)
-    return QuotientBisequence(tuple(map(QuotientEntry, reversed(legs), arms)))
+    entries = (QuotientEntry(ls, a) if ls or a else _EMPTY_ENTRY for ls, a in zip(reversed(legs), arms))
+    return QuotientBisequence(tuple(entries))
 
 
 def unquotient(q: QuotientBisequence) -> Bisequence:

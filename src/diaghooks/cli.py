@@ -14,12 +14,13 @@ from dataclasses import asdict
 
 from .abacus import _rebuild, core_and_quotient, is_p_core, p_quotient, render_ascii
 from .bisequence import diagonal_bisequence, is_symmetric_p_core
-from .errors import BadPartitionSyntax, DiagHookError
+from .errors import BadModulus, BadPartitionSyntax, DiagHookError
 from .formula import delta_general
-from .partitions import DeltaSet, Partition, _self_conjugate_arms, delta_of, from_delta_lengths
+from .partitions import _EMPTY, DeltaSet, Partition, _self_conjugate_arms, delta_of, from_delta_lengths
 from .verify import run_verify
 
 MAX_PARTS = 10**6  # parse_partition refuses a partition with more parts, before building it
+MAX_P = 10**6  # main refuses a larger --p or --primes value: the canonical abacus has at least p beads
 MAX_N_MAX = 120  # verify refuses more: run_verify(120, (3,5,7)) checks 417,891 cells in ~100 s on 2 vCPUs
 
 
@@ -32,7 +33,7 @@ def parse_partition(text: str) -> Partition:
     """Parse comma-separated parts with optional exponents, e.g. '6^2,2'."""
     text = text.strip()
     if not text:
-        return Partition(())
+        return _EMPTY
     parts: list[int] = []
     pos = 0
     for token in text.split(","):
@@ -288,6 +289,9 @@ def main(argv=None) -> int:
     if quotients is not None:
         args.quotient = quotients
     try:
+        moduli = [args.p] if hasattr(args, "p") else parse_int_list(args.primes)
+        if max(moduli) > MAX_P:  # one check for every command, before any of them builds an abacus
+            raise BadModulus(f"p={max(moduli)} is above {MAX_P}")
         return args.func(args)
     except DiagHookError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from .errors import (
     require_modulus,
     require_residue,
 )
-from .partitions import DeltaSet, Partition, _frobenius, _rows, _self_conjugate_arms
+from .partitions import _EMPTY, DeltaSet, Partition, _frobenius, _rows, _self_conjugate_arms
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,22 @@ class CoreCounts:
     """
 
     d0: tuple[int, ...]
-    shifted: tuple[int, ...]
-    mirrored: tuple[int, ...]
-    untouched: tuple[int, ...]
 
     @property
     def p(self) -> int:
         return len(self.d0)
+
+    @property
+    def shifted(self) -> tuple[int, ...]:
+        return tuple(g for g, d in enumerate(self.d0) if d)
+
+    @property
+    def mirrored(self) -> tuple[int, ...]:
+        return tuple(g for g, d in enumerate(reversed(self.d0)) if d)
+
+    @property
+    def untouched(self) -> tuple[int, ...]:
+        return tuple(g for g, (d, e) in enumerate(zip(self.d0, reversed(self.d0))) if not d and not e)
 
 
 def core_counts(core: Partition, p: int) -> CoreCounts:
@@ -52,11 +61,7 @@ def core_counts(core: Partition, p: int) -> CoreCounts:
     arms = _self_conjugate_arms(core)
     if not is_p_core(core, p):
         raise NotACore(f"{core} has a hook of length {p}")
-    d0 = tuple(map(len, _rows(arms, p)))
-    shifted = tuple(g for g in range(p) if d0[g])
-    mirrored = tuple(g for g in range(p) if d0[p - 1 - g])
-    untouched = tuple(g for g in range(p) if not d0[g] and not d0[p - 1 - g])
-    return CoreCounts(d0, shifted, mirrored, untouched)
+    return CoreCounts(tuple(map(len, _rows(arms, p))))
 
 
 def shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -146,7 +151,7 @@ def delta_concentrated_center(component: Partition, p: int) -> DeltaSet:
 def delta_empty_core(quotient: Sequence[Partition], p: int) -> DeltaSet:
     """Diagonal hook lengths when the core is empty: runner pairs contribute
     independently and their contributions never collide."""
-    return delta_general(Partition(()), quotient, p)
+    return delta_general(_EMPTY, quotient, p)
 
 
 def delta_general(core: Partition, quotient: Sequence[Partition], p: int) -> DeltaSet:
@@ -167,5 +172,6 @@ def delta_general(core: Partition, quotient: Sequence[Partition], p: int) -> Del
     arm_values: list[int] = []
     for r in range((p + 1) // 2):
         g = p - 1 - r if d0[p - 1 - r] else r
-        arm_values += _pair_arm_values(quotient[g], g, p, d0[g])
+        if d0[g] or quotient[g].parts:  # a pair with no core arms and empty components adds nothing
+            arm_values += _pair_arm_values(quotient[g], g, p, d0[g])
     return _delta(arm_values)

@@ -81,6 +81,9 @@ class Partition:
         return legs == arms
 
 
+_EMPTY = Partition(())  # shared by the parser and the readers for each empty component; frozen, so safe to share
+
+
 def _columns(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Column lengths of the diagram with these weakly decreasing rows, in one walk up the rows."""
     cols = []

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from typing import Iterable
 
-from .abacus import core_and_quotient, from_core_and_quotient, is_p_core
+from .abacus import _rebuild, core_and_quotient, is_p_core
 from .bisequence import Bisequence, diagonal_bisequence, is_symmetric_p_core
 from .errors import BadModulus, NonPositivePart, _as_int, require_modulus
 from .formula import delta_general
@@ -35,12 +35,12 @@ class VerifyReport:
 def _cell_problems(la: Partition, p: int, oracle: DeltaSet, diagonal: Bisequence) -> list[tuple[str, str]]:
     problems = []
     core, quotient = core_and_quotient(la, p)
-    rebuilt = from_core_and_quotient(core, quotient, p)
+    formula = delta_general(core, quotient, p)  # checks the pair once, so the rebuild below need not
+    rebuilt = _rebuild(core, quotient, p)
     if rebuilt != la:
         problems.append(("roundtrip", f"rebuilt {rebuilt} from core {core} and quotient"))
     if core.weight + p * sum(c.weight for c in quotient) != la.weight:
         problems.append(("weight", f"core {core.weight} + {p}*quotient != {la.weight}"))
-    formula = delta_general(core, quotient, p)
     if formula != oracle:
         problems.append(("delta", f"formula {formula.lengths} vs diagram {oracle.lengths}"))
     if is_symmetric_p_core(diagonal, p) != is_p_core(la, p):

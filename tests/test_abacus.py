@@ -395,6 +395,19 @@ class TestRowLists:
         assert built == []
         assert runner == []
 
+    @pytest.mark.parametrize("p", [97, 997])
+    def test_long_component_beside_empty_runners(self, p):
+        # (3,1,1) leaves runner p-3 empty and two beads on runner 2; the length-6 component
+        # pushes every runner 5 rows down, and each empty component must fill those rows too
+        core = P((3, 1, 1))
+        quotient = [P(())] * p
+        quotient[5], quotient[p - 3] = P((1,) * 6), P((2, 2))
+        quotient = tuple(quotient)
+        la = from_core_and_quotient(core, quotient, p)
+        assert la == _rebuild_by_runner_bead_sets(core, quotient, p)
+        assert la.weight == core.weight + p * 10
+        assert core_and_quotient(la, p) == (core, quotient)
+
     def test_core_of_one_long_runner_is_quick(self):
         # every bead on runner 0 at rows 0..p-1: a p-core, and a row-by-row walk over p runners is p^2 steps,
         # about a second at this p against a few ms for one sort of the p pushed beads

@@ -277,6 +277,14 @@ class TestOneBucketingRule:
             d = diagonal_bisequence(la)
             assert is_symmetric_p_core(d, p) == is_p_core(la, p) == expected, arms
 
+    def test_quotient_builds_entries_for_populated_residues_only(self, count_calls):
+        d = diagonal_bisequence(P((9, 7, 5, 4, 3, 3, 2, 1)))
+        built = count_calls(QuotientEntry, "__post_init__")
+        q = quotient_of(d, 997)
+        assert len(built) <= len(q.populated) == 8
+        assert unquotient(q) == d
+        assert all(q[g] == QuotientEntry() for g in range(997) if g not in q.populated)
+
     @pytest.mark.parametrize("p", [97, 997])
     def test_quotient_round_trip_at_large_p(self, p):
         for la in symmetric_up_to(30):

@@ -309,6 +309,49 @@ class TestExitCodes:
             assert cls.exit_code == documented.get(cls, 2), cls.__name__
 
 
+class TestModulusBound:
+    HUGE = "100000000"
+
+    @pytest.mark.parametrize("argv", [
+        ["core", "1", "--p", HUGE],
+        ["quotient", "1", "--p", HUGE],
+        ["render", "1", "--p", HUGE],
+        ["check-core", "1", "--p", HUGE],
+        ["delta", "--quotient", "", "--p", HUGE],
+        ["verify", "--primes", f"3,{HUGE}"],
+    ], ids=["core", "quotient", "render", "check-core", "delta", "verify"])
+    def test_exits_3_before_building_anything(self, argv, count_calls, capsys):
+        built = count_calls(Partition, "__post_init__")
+        assert main(argv) == 3
+        assert built == []
+        assert capsys.readouterr().err == f"error: BadModulus: p={self.HUGE} is above {cli.MAX_P}\n"
+
+    def test_the_bound_itself_is_accepted(self, capsys):
+        # one component for p runners fails at once, after the bound check and before any O(p) work
+        assert main(["delta", "--quotient", "", "--p", str(cli.MAX_P)]) == 5
+        assert main(["delta", "--quotient", "", "--p", str(cli.MAX_P + 1)]) == 3
+        err = capsys.readouterr().err
+        assert "WrongQuotientLength" in err and "BadModulus" in err
+
+
+class TestEmptyRunnerLines:
+    def test_p997_lines_build_a_partition_per_non_empty_component(self, count_calls, capsys):
+        p = 997
+        components = [""] * p
+        components[3], components[p - 4], components[(p - 1) // 2] = "3,1", "2,1,1", "2,1"
+        quotient = [arg for c in components for arg in ("--quotient", c)]
+        core = "2015,1001,21"  # arms 10, 10 + p and 500: a symmetric p-core
+        built = count_calls(Partition, "__post_init__")
+        assert main(["delta", "--from-delta", "--core", core, *quotient, "--p", str(p), "--json"]) == 0
+        assert len(built) <= 3 + 2
+        data = json.loads(capsys.readouterr().out)
+        assert data["agree"] is True and data["conserved"] is True
+        built.clear()
+        assert main(["core", ",".join(map(str, data["partition"])), "--p", str(p), "--json"]) == 0
+        assert len(built) <= 3 + 2
+        assert json.loads(capsys.readouterr().out)["quotient"] == data["quotient"]
+
+
 class TestInternalErrors:
     def test_exit_7_without_traceback(self, monkeypatch, capsys):
         def broken(la, p):

@@ -325,3 +325,18 @@ class TestTrustedKernels:
                 legs = tuple(t - d0 for t in d.legs if t >= d0)
                 assert formula._shift(d.legs, d.arms, d0) == (legs, arms)
                 assert d0_shift(QuotientEntry(d.legs, d.arms), d0) == QuotientEntry(legs, arms)
+
+
+class TestEmptyRunners:
+    @pytest.mark.parametrize("p", [97, 997])
+    def test_core_runners_with_empty_components(self, p):
+        # arms 3, 3 + p and p - 11: d0 = 2 on runner 3 and 1 on runner p - 11, whose components stay empty
+        core = from_delta_lengths(sorted((2 * b + 1 for b in (3, 3 + p, p - 11)), reverse=True))
+        cc = core_counts(core, p)
+        assert cc.shifted == (3, p - 11) and cc.mirrored == (10, p - 4) and len(cc.untouched) == p - 4
+        centre = [P(())] * p
+        centre[(p - 1) // 2] = P((2, 1))
+        for quotient in ((P(()),) * p, _pair_quotient(P((3, 1)), 20, p), tuple(centre)):
+            assert quotient[3] == quotient[p - 11] == P(())
+            assert delta_general(core, quotient, p) == delta_of(from_core_and_quotient(core, quotient, p))
+        assert delta_general(core, (P(()),) * p, p) == delta_of(core)

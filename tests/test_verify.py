@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import symmetric_up_to
-from diaghooks import verify
+from diaghooks import abacus, formula, verify
 from diaghooks.errors import BadModulus, NonPositivePart
 from diaghooks.verify import run_verify
 
@@ -39,3 +39,11 @@ def test_partition_only_values_are_read_once_per_partition(count_calls):
     report = run_verify(12, (3, 5, 7))
     assert report.ok and report.cells == 3 * len(symmetric_up_to(12))
     assert [args[0] for args in oracles] == [args[0] for args in diagonals] == list(symmetric_up_to(12))
+
+
+def test_each_cell_checks_its_core_twice(count_calls):
+    core_checks = [count_calls(owner, "is_p_core") for owner in (verify, formula, abacus)]
+    report = run_verify(12, (3, 5, 7))
+    assert report.ok
+    # the formula's guard and the direct core-criterion test; the rebuild repeats neither
+    assert sum(map(len, core_checks)) == 2 * report.cells
