@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .beta import Axis, BetaHook, BetaSet, _beads, _parts, axis_of, beta_of
+from .beta import BetaHook, BetaSet, _beads, _parts, axis_of, beta_of
 from .errors import (
     BadModulus,
     NonEmptyCore,
@@ -31,14 +31,9 @@ class Abacus:
     beads: BetaSet
 
     def __post_init__(self):
-        require_modulus(self.p)
+        object.__setattr__(self, "p", require_modulus(self.p))
         if len(self.beads) % self.p != 0:
             raise BadModulus(f"bead count {len(self.beads)} is not a multiple of {self.p}")
-
-    @property
-    def rows(self) -> int:
-        """Rows needed to display every bead and the full initial layout."""
-        return max(len(self.beads) // self.p, self.beads.max_bead // self.p + 1)
 
     def runner(self, g: int) -> BetaSet:
         """Row indices of the beads on runner g, itself a bead set."""
@@ -49,9 +44,6 @@ class Abacus:
         """Every runner's bead rows, each a bead set."""
         return tuple(BetaSet(tuple(r)) for r in _rows(self.beads, self.p))
 
-    def axis(self) -> Axis:
-        return axis_of(self.beads)
-
 
 def _canonical_bead_count(la: Partition, p: int) -> int:
     return p * max(1, -(-len(la.parts) // p))
@@ -59,7 +51,7 @@ def _canonical_bead_count(la: Partition, p: int) -> int:
 
 def to_abacus(la: Partition, p: int, bead_count: int | None = None) -> Abacus:
     """Abacus layout of la; bead_count (a multiple of p) overrides the default."""
-    require_modulus(p)
+    p = require_modulus(p)
     k = _canonical_bead_count(la, p) if bead_count is None else bead_count
     return Abacus(p, beta_of(la, k))
 
@@ -79,23 +71,26 @@ def p_core(la: Partition, p: int) -> Partition:
 
     The result has no hook of length p and does not depend on the bead count.
     """
-    return _core_of(_rows(to_abacus(la, p).beads, p), p)
+    ab = to_abacus(la, p)
+    return _core_of(_rows(ab.beads, ab.p), ab.p)
 
 
 def p_quotient(la: Partition, p: int) -> tuple[Partition, ...]:
     """The p partitions read off the runners of the canonical abacus."""
-    return _quotient_of(_rows(to_abacus(la, p).beads, p))
+    ab = to_abacus(la, p)
+    return _quotient_of(_rows(ab.beads, ab.p))
 
 
 def core_and_quotient(la: Partition, p: int) -> tuple[Partition, tuple[Partition, ...]]:
     """p_core and p_quotient read off one abacus layout."""
-    rows = _rows(to_abacus(la, p).beads, p)
-    return _core_of(rows, p), _quotient_of(rows)
+    ab = to_abacus(la, p)
+    rows = _rows(ab.beads, ab.p)
+    return _core_of(rows, ab.p), _quotient_of(rows)
 
 
 def is_p_core(la: Partition, p: int) -> bool:
     """Direct check: no bead sits exactly p above a space."""
-    require_modulus(p)
+    p = require_modulus(p)
     beads = set(_beads(la.parts, len(la.parts)))
     return not any(b >= p and (b - p) not in beads for b in beads)
 
@@ -120,7 +115,7 @@ def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: in
     Inverse of (p_core, p_quotient): lay out the core, then replace each
     runner's bead rows by the encoding of the corresponding component.
     """
-    require_modulus(p)
+    p = require_modulus(p)
     quotient = tuple(quotient)
     _require_components(quotient, p)
     if not is_p_core(core, p):
@@ -168,7 +163,7 @@ def classify_p_hook(la: Partition, p: int, hook: BetaHook) -> PHookClass:
     Straddling hooks correspond to diagonal cells of the runner component,
     right-of-axis hooks to arm cells, left-of-axis hooks to leg cells.
     """
-    require_modulus(p)
+    p = require_modulus(p)
     _self_conjugate_arms(la)
     ab = to_abacus(la, p)
     if _core_of(_rows(ab.beads, p), p):
@@ -176,7 +171,7 @@ def classify_p_hook(la: Partition, p: int, hook: BetaHook) -> PHookClass:
     x = ab.beads
     if hook.y < 0 or hook.x - hook.y != p or hook.x not in x or hook.y in x:
         raise NotAPHook(f"({hook.y},{hook.x}] is not a length-{p} hook of the canonical layout")
-    ax = ab.axis()
+    ax = axis_of(x)
     if ax.is_right(hook.y):
         side = HookSide.RIGHT_OF_AXIS
     elif ax.is_left(hook.x):
@@ -193,9 +188,10 @@ def render_ascii(la: Partition, p: int) -> str:
     rule marks the axis (which always falls on a row boundary).
     """
     ab = to_abacus(la, p)
+    p = ab.p
     axis_row = len(ab.beads) // p
     lines = []
-    for row in range(ab.rows):
+    for row in range(max(axis_row, ab.beads.max_bead // p + 1)):
         cells = ["●" if (row * p + g) in ab.beads else "·" for g in range(p)]
         lines.append(" ".join(cells))
         if row + 1 == axis_row:

@@ -152,8 +152,8 @@ def unquotient(q: QuotientBisequence) -> Bisequence:
 
 def residue_class(d: Bisequence, p: int, g: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The legs and arms of d congruent to g mod p, orders preserved."""
-    require_modulus(p)
-    require_residue(g, p)
+    p = require_modulus(p)
+    g = require_residue(g, p)
     return (
         tuple(a for a in d.legs if a % p == g),
         tuple(b for b in d.arms if b % p == g),
@@ -178,7 +178,7 @@ def is_gamma_packed(d: Bisequence, p: int, g: int) -> bool:
     """
     arms = d._symmetric_arms()
     p = require_modulus(p)
-    require_residue(g, p)
+    g = require_residue(g, p)
     return _is_packed(_rows(arms, p)[g])
 
 

@@ -19,7 +19,7 @@ from .formula import delta_general
 from .partitions import _EMPTY, DeltaSet, Partition, _self_conjugate_arms, delta_of, from_delta_lengths
 from .verify import run_verify
 
-MAX_PARTS = 10**6  # parse_partition refuses a partition with more parts, before building it
+MAX_PARTS = 10**6  # parse_partition and --from-delta refuse more cells (and so more parts) before building anything
 MAX_P = 10**6  # main refuses a larger --p or --primes value: the canonical abacus has at least p beads
 MAX_N_MAX = 120  # verify refuses more: run_verify(120, (3,5,7)) checks 417,891 cells in ~100 s on 2 vCPUs
 
@@ -35,16 +35,17 @@ def parse_partition(text: str) -> Partition:
     if not text:
         return _EMPTY
     parts: list[int] = []
-    pos = 0
+    cells = pos = 0
     for token in text.split(","):
         stripped = token.strip()
         base, caret, exp = stripped.partition("^")
         if not _is_digits(base) or (caret and not _is_digits(exp)):
             raise BadPartitionSyntax(f"bad token {stripped!r} at position {pos}")
-        count = int(exp) if caret else 1
-        if len(parts) + count > MAX_PARTS:
-            raise BadPartitionSyntax(f"token {stripped!r} at position {pos} makes more than {MAX_PARTS} parts")
-        parts.extend([int(base)] * count)
+        part, count = int(base), int(exp) if caret else 1
+        cells += (part or 1) * count  # a part 0, which Partition refuses, counts as one cell so the list stays bounded
+        if cells > MAX_PARTS:
+            raise BadPartitionSyntax(f"token {stripped!r} at position {pos} makes more than {MAX_PARTS} cells")
+        parts.extend([part] * count)
         pos += len(token) + 1
     return Partition(tuple(parts))
 
@@ -63,7 +64,10 @@ def parse_int_list(text: str) -> list[int]:
 
 def _input_partition(text: str, from_delta: bool) -> Partition:
     if from_delta:
-        return from_delta_lengths(parse_int_list(text))
+        lengths = parse_int_list(text)
+        if sum(lengths) > MAX_PARTS:
+            raise BadPartitionSyntax(f"diagonal hook lengths sum to more than {MAX_PARTS} cells")
+        return from_delta_lengths(lengths)
     return parse_partition(text)
 
 

@@ -148,7 +148,9 @@ def require_modulus(p: int) -> int:
     return n
 
 
-def require_residue(g: int, p: int) -> None:
-    """Raise BadResidue unless g is an integer residue 0..p-1 of an already checked modulus p."""
-    if not 0 <= _as_int(g) < p:
+def require_residue(g: int, p: int) -> int:
+    """g as a plain int; raises BadResidue unless it is an integer residue 0..p-1 of an already checked modulus p."""
+    r = _as_int(g)
+    if not 0 <= r < p:
         raise BadResidue(f"residue {g!r} not in 0..{p - 1}")
+    return r

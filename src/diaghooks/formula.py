@@ -39,10 +39,6 @@ class CoreCounts:
     d0: tuple[int, ...]
 
     @property
-    def p(self) -> int:
-        return len(self.d0)
-
-    @property
     def shifted(self) -> tuple[int, ...]:
         return tuple(g for g, d in enumerate(self.d0) if d)
 
@@ -127,8 +123,8 @@ def delta_concentrated_pair(component: Partition, g: int, p: int) -> DeltaSet:
     lengths 2*(s+1)*p - 2*g - 1 and 2*t*p + 2*g + 1: one pair of the loop in
     `delta_general`, with no core shift.
     """
-    require_modulus(p)
-    require_residue(g, p)
+    p = require_modulus(p)
+    g = require_residue(g, p)
     if 2 * g == p - 1:
         raise CenterResidue(f"residue {g} is self-dual for p={p}; use delta_concentrated_center")
     return _delta(_pair_arm_values(component, g, p, 0))
@@ -141,7 +137,7 @@ def delta_concentrated_center(component: Partition, p: int) -> DeltaSet:
     values m yields the length (2*m+1)*p: the centre pair of the loop in
     `delta_general`, with no core shift.
     """
-    require_modulus(p)
+    p = require_modulus(p)
     if p % 2 == 0:
         raise EvenModulus(f"p={p} has no centre runner")
     _self_conjugate_arms(component)
@@ -164,7 +160,7 @@ def delta_general(core: Partition, quotient: Sequence[Partition], p: int) -> Del
     contributes runner r's arms and legs unshifted. Every arm value b then
     gives the length 2*b + 1.
     """
-    require_modulus(p)
+    p = require_modulus(p)
     quotient = tuple(quotient)
     if not is_symmetric_quotient(quotient, p):
         raise NotSymmetricQuotient("component g must equal conjugate of component p-1-g")

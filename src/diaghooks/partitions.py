@@ -66,10 +66,6 @@ class Partition:
             t = i
         return t
 
-    def row(self, i: int) -> int:
-        """Length of row i (1-based), zero beyond the last row."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
     def conjugate(self) -> "Partition":
         """Partition of the column lengths; an involution."""
         return Partition(_columns(self.parts))
@@ -262,12 +258,13 @@ def enumerate_partitions(n: int, symmetric_only: bool = False) -> Iterator[Parti
     order), generated directly from their diagonal hook lengths: the
     partitions of n into distinct odd parts.
     """
-    if _as_int(n) < 0:
+    size = _as_int(n)
+    if size < 0:
         raise NonPositivePart(f"cannot partition {n!r}")
     if symmetric_only:
-        yield from map(from_delta_lengths, _distinct_odd_parts(n, n))
+        yield from map(from_delta_lengths, _distinct_odd_parts(size, size))
         return
-    parts = [n] if n else []
+    parts = [size] if size else []
     while True:
         yield Partition(tuple(parts))
         k = len(parts) - 1

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from diaghooks import abacus, cli, errors, formula
 from diaghooks.cli import build_parser, main, parse_int_list, parse_partition
-from diaghooks.errors import BadPartitionSyntax, NonMonotonic
+from diaghooks.errors import BadPartitionSyntax, NonMonotonic, NonPositivePart
 from diaghooks.partitions import Partition
 from diaghooks.verify import VerifyReport
 
@@ -72,6 +72,35 @@ class TestExponentCap:
     def test_exit_2(self, capsys):
         assert main(["core", "1^10000000000000000000", "--p", "3"]) == 2
         assert "BadPartitionSyntax" in capsys.readouterr().err
+
+
+class TestCellBound:
+    @pytest.mark.parametrize("argv", [
+        ["render", "1000001", "--p", "2"],
+        ["core", "1000001", "--p", "2"],
+        ["quotient", "1000001", "--p", "2"],
+        ["delta", "--quotient", "", "--quotient", "1000001", "--p", "2"],
+        ["check-core", "2000001", "--from-delta", "--p", "3"],
+        ["delta", "--core", "2000001", "--from-delta", *["--quotient", ""] * 3, "--p", "3"],
+    ], ids=["render", "core", "quotient", "delta-quotient", "check-core-from-delta", "delta-from-delta"])
+    def test_one_large_part_exits_2_before_building_anything(self, argv, count_calls, capsys):
+        built = count_calls(Partition, "__post_init__")
+        assert main(argv) == 2
+        assert built == []
+        assert capsys.readouterr().err.startswith("error: BadPartitionSyntax: ")
+
+    def test_the_bound_counts_cells(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_PARTS", 10)
+        assert parse_partition("10") == Partition((10,))
+        assert parse_partition("4,3^2") == Partition((4, 3, 3))
+        assert cli._input_partition("7,3", True) == Partition((4, 3, 2, 1))
+        for text in ("11", "4,3^2,1", "0^10000000000000000000"):
+            with pytest.raises(BadPartitionSyntax, match="more than 10 cells"):
+                parse_partition(text)
+        with pytest.raises(BadPartitionSyntax, match="more than 10 cells"):
+            cli._input_partition("9,3", True)
+        with pytest.raises(NonPositivePart):
+            parse_partition("0^3")
 
 
 class TestNonAsciiDigits:

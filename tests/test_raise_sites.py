@@ -31,3 +31,13 @@ def test_each_input_rule_has_one_raise_site():
     sites = raise_sites()
     assert {name: sites[name] for name in SINGLE_SITE_RULES} == dict.fromkeys(SINGLE_SITE_RULES, 1)
 
+
+def test_boundary_checks_are_assigned():
+    # a check whose value is dropped leaves the function computing with the caller's object, not the int it checked
+    bare = []
+    for path in sorted(Path(diaghooks.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            call = node.value if isinstance(node, ast.Expr) else None
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("require_modulus", "require_residue"):
+                bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []
