@@ -18,6 +18,7 @@ from .errors import (
     NotACore,
     NotAPHook,
     WrongQuotientLength,
+    _ints,
     require_modulus,
 )
 from .partitions import _EMPTY, Partition, _columns, _rows, _self_conjugate_arms
@@ -103,7 +104,7 @@ def _require_components(quotient: Sequence[Partition], p: int) -> None:
 def is_symmetric_quotient(quotient: Sequence[Partition], p: int | None = None) -> bool:
     """True when component g is the conjugate of component p-1-g for every g."""
     if p is not None:
-        _require_components(quotient, p)
+        _require_components(quotient, require_modulus(p))
     n = len(quotient)
     # Conjugation is an involution, so the first half of the pairs decides.
     return all(quotient[g].parts == _columns(quotient[n - 1 - g].parts) for g in range((n + 1) // 2))
@@ -168,17 +169,17 @@ def classify_p_hook(la: Partition, p: int, hook: BetaHook) -> PHookClass:
     ab = to_abacus(la, p)
     if _core_of(_rows(ab.beads, p), p):
         raise NonEmptyCore(f"{la} has a non-empty {p}-core")
-    x = ab.beads
-    if hook.y < 0 or hook.x - hook.y != p or hook.x not in x or hook.y in x:
-        raise NotAPHook(f"({hook.y},{hook.x}] is not a length-{p} hook of the canonical layout")
-    ax = axis_of(x)
-    if ax.is_right(hook.y):
+    y, b = _ints((hook.y, hook.x))
+    if y < 0 or b - y != p or b not in ab.beads or y in ab.beads:
+        raise NotAPHook(f"({hook.y!r},{hook.x!r}] is not a length-{p} hook of the canonical layout")
+    ax = axis_of(ab.beads)
+    if ax.is_right(y):
         side = HookSide.RIGHT_OF_AXIS
-    elif ax.is_left(hook.x):
+    elif ax.is_left(b):
         side = HookSide.LEFT_OF_AXIS
     else:
         side = HookSide.STRADDLING
-    return PHookClass(side=side, runner=hook.x % p, row=hook.x // p)
+    return PHookClass(side=side, runner=b % p, row=b // p)
 
 
 def render_ascii(la: Partition, p: int) -> str:
@@ -191,7 +192,7 @@ def render_ascii(la: Partition, p: int) -> str:
     p = ab.p
     axis_row = len(ab.beads) // p
     lines = []
-    for row in range(max(axis_row, ab.beads.max_bead // p + 1)):
+    for row in range(ab.beads.max_bead // p + 1):
         cells = ["●" if (row * p + g) in ab.beads else "·" for g in range(p)]
         lines.append(" ".join(cells))
         if row + 1 == axis_row:

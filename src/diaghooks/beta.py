@@ -120,26 +120,32 @@ def hooks_of(x: BetaSet) -> list[BetaHook]:
     return [BetaHook(y, b) for b in x.beads for y in range(b) if y not in x]
 
 
+def _hook_ends(x: BetaSet, hook: BetaHook) -> tuple[int, int]:
+    """The hook's space and bead as plain ints; raises NotAPHook unless they are a hook of x."""
+    y, b = _ints((hook.y, hook.x))
+    if b not in x or y in x or y < 0 or y >= b:
+        raise NotAPHook(f"({hook.y!r},{hook.x!r}] is not a hook of this bead set")
+    return y, b
+
+
 def young_hook(x: BetaSet, hook: BetaHook) -> Hook:
     """Young-diagram corner, arm and leg of a bead-set hook.
 
     Row = beads at or above x, column = spaces at or below y, leg = beads
     strictly between, arm = spaces strictly between.
     """
-    if hook.x not in x or hook.y in x or hook.y < 0 or hook.y >= hook.x:
-        raise NotAPHook(f"({hook.y},{hook.x}] is not a hook of this bead set")
-    row = sum(1 for z in x.beads if z >= hook.x)
-    col = sum(1 for z in range(hook.y + 1) if z not in x)
-    leg = sum(1 for z in x.beads if hook.y < z < hook.x)
-    arm = hook.length - 1 - leg
+    y, b = _hook_ends(x, hook)
+    row = sum(1 for z in x.beads if z >= b)
+    col = sum(1 for z in range(y + 1) if z not in x)
+    leg = sum(1 for z in x.beads if y < z < b)
+    arm = b - y - 1 - leg
     return Hook(row=row, col=col, arm=arm, leg=leg)
 
 
 def remove_hook(x: BetaSet, hook: BetaHook) -> BetaSet:
     """Move the bead at hook.x into the space at hook.y; removes a hook of that length."""
-    if hook.x not in x or hook.y in x or hook.y < 0 or hook.y >= hook.x:
-        raise NotAPHook(f"({hook.y},{hook.x}] is not a hook of this bead set")
-    return BetaSet(tuple(b for b in x.beads if b != hook.x) + (hook.y,))
+    y, b = _hook_ends(x, hook)
+    return BetaSet(tuple(z for z in x.beads if z != b) + (y,))
 
 
 def axis_of(x: BetaSet) -> Axis:
@@ -178,14 +184,8 @@ def bisequence_of(x: BetaSet) -> Bisequence:
 def is_symmetric_beta(x: BetaSet) -> bool:
     """True when reflecting through the axis swaps beads and spaces.
 
-    Positions below 0 count as beads; the check covers the whole non-trivial
-    window of the infinite string.
+    Positions below 0 count as beads, so the reflection swaps them exactly
+    when it maps the beads right of the axis onto the spaces left of it.
     """
-    ax = axis_of(x)
-    top = max(x.max_bead, ax.two_theta)
-    for z in range(top + 1):
-        mirror = ax.two_theta - z
-        mirror_is_bead = mirror < 0 or mirror in x
-        if (z in x) == mirror_is_bead:
-            return False
-    return True
+    (plus, minus), ax = plus_minus(x), axis_of(x)
+    return tuple(ax.two_theta - b for b in plus) == minus

@@ -11,7 +11,6 @@ from typing import Iterable, Iterator
 
 from .errors import (
     InconsistentQuotient,
-    NotStrictlyDecreasing,
     NotSymmetricBisequence,
     _ints,
     require_modulus,
@@ -144,10 +143,7 @@ def unquotient(q: QuotientBisequence) -> Bisequence:
         arms.extend(g + m * p for m in entry.arms)
     if len(legs) != len(arms):
         raise InconsistentQuotient(f"entries assemble to {len(legs)} legs but {len(arms)} arms")
-    try:
-        return Bisequence(tuple(sorted(legs, reverse=True)), tuple(sorted(arms, reverse=True)))
-    except NotStrictlyDecreasing as exc:
-        raise InconsistentQuotient(str(exc)) from exc
+    return Bisequence(tuple(sorted(legs, reverse=True)), tuple(sorted(arms, reverse=True)))
 
 
 def residue_class(d: Bisequence, p: int, g: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

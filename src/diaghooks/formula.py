@@ -21,6 +21,7 @@ from .errors import (
     InternalInconsistency,
     NotACore,
     NotSymmetricQuotient,
+    _as_int,
     require_modulus,
     require_residue,
 )
@@ -65,11 +66,12 @@ def shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int
 
     Always satisfies len(S) + len(legs-in-[0,d0)) == d0 and S disjoint from T.
     """
-    if d0 < 1:
-        raise InternalInconsistency(f"shift amount must be >= 1, got {d0}")
+    n = _as_int(d0)
+    if n < 1:
+        raise InternalInconsistency(f"shift amount must be >= 1, got {d0!r}")
     present = set(legs)
-    s_set = tuple(s for s in range(d0 - 1, -1, -1) if s not in present)
-    t_set = tuple(t for t in legs if t >= d0)
+    s_set = tuple(s for s in range(n - 1, -1, -1) if s not in present)
+    t_set = tuple(t for t in legs if t >= n)
     return s_set, t_set
 
 
@@ -77,6 +79,7 @@ def _shift(legs: Sequence[int], arms: Sequence[int], d0: int) -> tuple[tuple[int
     # Descending legs and arms in, descending out: the moved arms are all >= d0,
     # the new arms d0-s-1 all < d0, and ascending gaps s give descending d0-s-1.
     s_set, t_set = shift_sets(legs, d0)
+    d0 = len(s_set) + len(legs) - len(t_set)  # the plain int shift_sets read: each value below it is a gap or a leg
     arms = tuple(a + d0 for a in arms) + tuple(d0 - s - 1 for s in reversed(s_set))
     return tuple(t - d0 for t in t_set), arms
 
@@ -110,8 +113,6 @@ def _pair_arm_values(component: Partition, r: int, p: int, d0: int) -> list[int]
 
 def _delta(arm_values: list[int]) -> DeltaSet:
     """The lengths 2*b + 1 of distinct arm values b, largest first."""
-    if len(set(arm_values)) != len(arm_values):
-        raise InternalInconsistency("residue contributions collided; invalid input or bug")
     return DeltaSet(tuple(sorted((2 * b + 1 for b in arm_values), reverse=True)))
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,10 @@ class TestHookBijection:
     def test_young_hook_rejects_non_hook(self):
         with pytest.raises(NotAPHook):
             young_hook(BetaSet((1, 3, 5)), BetaHook(3, 5))
+
+    def test_remove_hook_rejects_non_hook(self):
+        with pytest.raises(NotAPHook, match=re.escape("(3,5] is not a hook of this bead set")):
+            remove_hook(BetaSet((1, 3, 5)), BetaHook(3, 5))
 
 
 class TestAxis:

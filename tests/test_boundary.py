@@ -2,8 +2,11 @@
 
 So a modulus, residue or count that is an integer only through `__index__`
 gives the result of the plain int, and a non-integer modulus is refused with
-BadModulus before anything else runs.
+BadModulus before anything else runs. A shift amount and the ends of a hook
+follow the same integer rule.
 """
+
+import re
 
 import pytest
 
@@ -23,13 +26,17 @@ from diaghooks import (
     hooks_of,
     is_gamma_packed,
     is_p_core,
+    is_symmetric_quotient,
     p_core,
     p_quotient,
     render_ascii,
     residue_class,
     to_abacus,
 )
-from diaghooks.errors import BadModulus
+from diaghooks.beta import BetaHook, BetaSet, remove_hook, young_hook
+from diaghooks.bisequence import QuotientEntry
+from diaghooks.errors import BadModulus, InternalInconsistency, NotAPHook
+from diaghooks.formula import d0_shift, shift_sets
 
 
 class Index:
@@ -65,6 +72,7 @@ MODULUS_SITES = {
     "delta_concentrated_center": lambda p: delta_concentrated_center(PAIR, p),
     "residue_class": lambda p: residue_class(D, p, 2),
     "is_gamma_packed": lambda p: is_gamma_packed(D, p, 2),
+    "is_symmetric_quotient": lambda p: is_symmetric_quotient(QUOTIENT, p),
 }
 
 CASES = {
@@ -88,3 +96,59 @@ def test_index_only_input_gives_the_plain_int_result(call, value):
 def test_non_integer_modulus_is_the_first_error(call):
     with pytest.raises(BadModulus, match="p must be an integer >= 2, got 2.5"):
         call(2.5)
+
+
+@pytest.mark.parametrize("p", [1, True])
+def test_symmetric_quotient_refuses_a_modulus_its_length_could_match(p):
+    with pytest.raises(BadModulus, match=f"got {p!r}"):
+        is_symmetric_quotient((Partition((1,)),), p)
+
+
+ENTRY = QuotientEntry((1,), (0,))
+HOOK_BEADS = BetaSet((2,))
+HOOK_END_SHOWN = "is not a hook of this bead set"
+
+INTEGER_RULE_CASES = {
+    # each value is a refusal (error, message) or the plain-int call whose result the call must give
+    "shift_sets-float": (lambda: shift_sets((0,), 2.5), (InternalInconsistency, "got 2.5")),
+    "shift_sets-str": (lambda: shift_sets((0,), "2"), (InternalInconsistency, "got '2'")),
+    "shift_sets-bool": (lambda: shift_sets((0,), True), (InternalInconsistency, "got True")),
+    "shift_sets-index": (lambda: shift_sets((0,), Index(2)), lambda: shift_sets((0,), 2)),
+    "d0_shift-float": (lambda: d0_shift(ENTRY, 2.5), (InternalInconsistency, "got 2.5")),
+    "d0_shift-index": (lambda: d0_shift(ENTRY, Index(2)), lambda: d0_shift(ENTRY, 2)),
+    "young_hook-float": (
+        lambda: young_hook(BetaSet((1,)), BetaHook(0.5, 1)),
+        (NotAPHook, f"(0.5,1] {HOOK_END_SHOWN}"),
+    ),
+    "young_hook-bool": (lambda: young_hook(HOOK_BEADS, BetaHook(True, 2)), (NotAPHook, f"(True,2] {HOOK_END_SHOWN}")),
+    "young_hook-index": (
+        lambda: young_hook(HOOK_BEADS, BetaHook(Index(1), Index(2))),
+        lambda: young_hook(HOOK_BEADS, BetaHook(1, 2)),
+    ),
+    "remove_hook-float": (
+        lambda: remove_hook(BetaSet((1,)), BetaHook(0.5, 1)),
+        (NotAPHook, f"(0.5,1] {HOOK_END_SHOWN}"),
+    ),
+    "remove_hook-index": (
+        lambda: remove_hook(HOOK_BEADS, BetaHook(Index(1), Index(2))),
+        lambda: remove_hook(HOOK_BEADS, BetaHook(1, 2)),
+    ),
+    "classify_p_hook-float": (
+        lambda: classify_p_hook(HOOK_LA, 5, BetaHook(float(HOOK.y), HOOK.x)),
+        (NotAPHook, f"({float(HOOK.y)!r},{HOOK.x}] is not a length-5 hook"),
+    ),
+    "classify_p_hook-index": (
+        lambda: classify_p_hook(HOOK_LA, 5, BetaHook(Index(HOOK.y), Index(HOOK.x))),
+        lambda: classify_p_hook(HOOK_LA, 5, HOOK),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, expected", INTEGER_RULE_CASES.values(), ids=INTEGER_RULE_CASES)
+def test_shift_amount_and_hook_ends_follow_the_integer_rule(call, expected):
+    if isinstance(expected, tuple):
+        error, shown = expected
+        with pytest.raises(error, match=re.escape(shown)):
+            call()
+    else:
+        assert call() == expected()

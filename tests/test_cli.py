@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diaghooks import abacus, cli, errors, formula
+from diaghooks import abacus, cli, errors, formula, verify
 from diaghooks.cli import build_parser, main, parse_int_list, parse_partition
 from diaghooks.errors import BadPartitionSyntax, NonMonotonic, NonPositivePart
-from diaghooks.partitions import Partition
+from diaghooks.partitions import DeltaSet, Partition
 from diaghooks.verify import VerifyReport
 
 WEIGHT_190 = ["--quotient", "6^2,2", "--quotient", "3", "--quotient", "2^2",
@@ -303,6 +303,51 @@ class TestVerifyCommand:
         assert main(["verify", "--n-max", "120"]) == 0
         assert calls == [120]
 
+
+
+class TestFailureReports:
+    """The exit 1 paths: a route is broken on purpose and the output alone says where."""
+
+    VERIFY = ["verify", "--n-max", "6", "--primes", "3,5"]
+    SMALL = ["delta", "--core", "", "--quotient", "1", "--quotient", "", "--quotient", "1", "--p", "3"]
+
+    @pytest.fixture
+    def criterion_broken_at_5(self, monkeypatch):
+        real = verify.is_symmetric_p_core
+        monkeypatch.setattr(verify, "is_symmetric_p_core", lambda d, p: real(d, p) != (p == 5))
+
+    def test_verify_text_names_the_first_failure(self, criterion_broken_at_5, capsys):
+        assert main(self.VERIFY) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "checked 12 (lambda,p) cells, 6 failures",
+            "first failure: n=0 partition=() p=5 check=core-criterion",
+            "  residue test disagrees with direct hook check",
+        ]
+
+    def test_verify_json_names_the_first_failure(self, criterion_broken_at_5, capsys):
+        assert main([*self.VERIFY, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "n_max": 6, "primes": [3, 5], "cells": 12, "failures": 6,
+            "first_failure": {"n": 0, "partition": [], "p": 5, "check": "core-criterion",
+                              "detail": "residue test disagrees with direct hook check"},
+        }
+
+    def test_delta_disagreement_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "delta_of", lambda la: DeltaSet((5,)))
+        assert main(self.SMALL) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "partition: (3,2,1)  (n=6)", "delta (formula): 5,1", "delta (oracle):  5",
+            "conservation: sum=6 n=6 -> OK", "verdict: DISAGREE"]
+
+    def test_delta_conservation_failure_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "delta_general", lambda core, quotient, p: DeltaSet((3,)))
+        assert main([*self.SMALL, "--method", "formula"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "partition: (3,2,1)  (n=6)", "delta (formula): 3", "conservation: sum=3 n=6 -> FAIL"]
+
+    def test_quotient_json(self, capsys):
+        assert main(["quotient", "4,1,1,1", "--p", "3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"partition": [4, 1, 1, 1], "p": 3, "quotient": [[1], [], [1]]}
 
 class TestJsonRoundtrip:
     def test_core_output_feeds_delta(self, capsys):

@@ -41,3 +41,10 @@ def test_boundary_checks_are_assigned():
             if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("require_modulus", "require_residue"):
                 bare.append(f"{path.name}:{node.lineno}")
     assert bare == []
+
+
+def test_checks_no_input_can_reach_are_gone():
+    # the formula's arm values cannot repeat (each runner pair writes only to its own two residues), nor can
+    # unquotient's sides (each residue and row gives one value): the one raise left of each is an input rule
+    sites = raise_sites()
+    assert (sites["InconsistentQuotient"], sites["InternalInconsistency"]) == (1, 1)

@@ -2,7 +2,9 @@ import pytest
 
 from conftest import symmetric_up_to
 from diaghooks import abacus, formula, verify
+from diaghooks.bisequence import is_symmetric_p_core
 from diaghooks.errors import BadModulus, NonPositivePart
+from diaghooks.partitions import DeltaSet, Partition
 from diaghooks.verify import run_verify
 
 
@@ -47,3 +49,62 @@ def test_each_cell_checks_its_core_twice(count_calls):
     assert report.ok
     # the formula's guard and the direct core-criterion test; the rebuild repeats neither
     assert sum(map(len, core_checks)) == 2 * report.cells
+
+
+
+SWEEP_6 = [(la, p) for la in symmetric_up_to(6) for p in (3, 5)]  # 12 cells in sweep order
+
+
+def _wrong_at_5(route, wrong):
+    """verify.<route>, and a stand-in that answers with `wrong` on every p = 5 cell."""
+    real = getattr(verify, route)
+    return route, lambda *args: wrong(*args) if args[-1] == 5 else real(*args)
+
+
+BROKEN_ROUTES = {
+    # one broken route: the checks that fail on a p = 5 cell of weight n, and the first failure
+    "delta": (
+        _wrong_at_5("delta_general", lambda core, quotient, p: DeltaSet(())),
+        lambda n: ["delta"] if n else [],
+        (1, (1,), 5, "delta", "formula () vs diagram (1,)"),
+    ),
+    "roundtrip": (
+        _wrong_at_5("_rebuild", lambda core, quotient, p: Partition(())),
+        lambda n: ["roundtrip"] if n else [],
+        (1, (1,), 5, "roundtrip", "rebuilt () from core (1) and quotient"),
+    ),
+    "core-criterion": (
+        _wrong_at_5("is_symmetric_p_core", lambda d, p: not is_symmetric_p_core(d, p)),
+        lambda n: ["core-criterion"],
+        (0, (), 5, "core-criterion", "residue test disagrees with direct hook check"),
+    ),
+    "core-and-quotient": (  # every check that reads the pair fails
+        _wrong_at_5("core_and_quotient", lambda la, p: (Partition(()), (Partition(()),) * p)),
+        lambda n: ["roundtrip", "weight", "delta"] if n else [],
+        (1, (1,), 5, "roundtrip", "rebuilt () from core () and quotient"),
+    ),
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_ROUTES)
+def test_every_problem_on_every_cell_is_counted(broken, monkeypatch):
+    (route, stand_in), checks, first = BROKEN_ROUTES[broken]
+    monkeypatch.setattr(verify, route, stand_in)
+    real, seen = verify._cell_problems, []
+
+    def recording(la, p, *rest):
+        problems = real(la, p, *rest)
+        seen.append((la, p, [check for check, _ in problems]))
+        return problems
+
+    monkeypatch.setattr(verify, "_cell_problems", recording)
+    report = run_verify(6, (3, 5))
+    expected = [(la, p, checks(la.weight) if p == 5 else []) for la, p in SWEEP_6]
+    assert seen == expected  # the sweep goes on past a failing cell
+    assert report.cells == 12 and report.failures == sum(len(c) for *_, c in expected) and not report.ok
+    assert report.first_failure == verify.Failure(*first)
+
+
+def test_no_moduli_is_refused():
+    with pytest.raises(BadModulus, match="need at least one modulus"):
+        run_verify(6, [])
