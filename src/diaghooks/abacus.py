@@ -58,8 +58,13 @@ def to_abacus(la: Partition, p: int, bead_count: int | None = None) -> Abacus:
 
 
 def _core_of(rows: list[list[int]], p: int) -> Partition:
-    # one sort of p ascending runs: a row-by-row walk over all p runners is quadratic on one long runner
-    return Partition(_parts(sorted(g + m * p for g, r in enumerate(rows) for m in range(len(r)))))
+    # rows full on every runner encode no parts; each later row is read over the runners reaching it: O(beads + p)
+    counts = list(map(len, rows))
+    live, beads, row, offset = range(p), [], min(counts), 0
+    while live := [g for g in live if counts[g] > row]:
+        beads += [g + offset for g in live]
+        row, offset = row + 1, offset + p
+    return Partition(_parts(beads))
 
 
 def _quotient_of(rows: list[list[int]]) -> tuple[Partition, ...]:
@@ -105,9 +110,9 @@ def is_symmetric_quotient(quotient: Sequence[Partition], p: int | None = None) -
     """True when component g is the conjugate of component p-1-g for every g."""
     if p is not None:
         _require_components(quotient, require_modulus(p))
-    n = len(quotient)
-    # Conjugation is an involution, so the first half of the pairs decides.
-    return all(quotient[g].parts == _columns(quotient[n - 1 - g].parts) for g in range((n + 1) // 2))
+    # Conjugation is an involution, so the first half of the pairs decides; two empty components agree.
+    pairs = zip(quotient[: (len(quotient) + 1) // 2], reversed(quotient))
+    return all(a.parts == _columns(b.parts) for a, b in pairs if a.parts or b.parts)
 
 
 def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: int) -> Partition:

@@ -7,6 +7,7 @@ right with a bead pushed in at the origin. All axis arithmetic is kept exact
 by storing 2*theta (an odd integer) instead of the half-integer theta.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .bisequence import Bisequence
@@ -94,7 +95,7 @@ class Axis:
 
 def _beads(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
     """The k >= len(parts) bead positions encoding these rows, largest first: row i at parts[i-1] + k - i."""
-    return tuple(part + k - i for i, part in enumerate(parts, 1)) + tuple(range(k - len(parts) - 1, -1, -1))
+    return tuple(map(operator.add, parts, range(k - 1, -1, -1))) + tuple(range(k - len(parts) - 1, -1, -1))
 
 
 def beta_of(la: Partition, k: int) -> BetaSet:
@@ -105,9 +106,9 @@ def beta_of(la: Partition, k: int) -> BetaSet:
     return BetaSet(_beads(la.parts, n))
 
 
-def _parts(ascending) -> tuple[int, ...]:
-    """The parts, largest first, encoded by distinct bead positions given in ascending order."""
-    return tuple(reversed([b - j for j, b in enumerate(ascending) if b > j]))  # the j-th smallest has j below it
+def _parts(ascending: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+    """The parts, largest first, of distinct bead positions in ascending order: the j-th smallest has j below it."""
+    return tuple(filter(None, map(operator.sub, reversed(ascending), range(len(ascending) - 1, -1, -1))))
 
 
 def partition_of(x: BetaSet) -> Partition:

@@ -24,9 +24,10 @@ MAX_P = 10**6  # main refuses a larger --p or --primes value: the canonical abac
 MAX_N_MAX = 120  # verify refuses more: run_verify(120, (3,5,7)) checks 417,891 cells in ~100 s on 2 vCPUs
 
 
-def _is_digits(text: str) -> bool:
+def _all_digits(tokens: list[str]) -> bool:
     # str.isdigit alone accepts '²' and '３'; int() refuses more than 4300 digits by default
-    return text.isascii() and text.isdigit() and len(text) <= 4300
+    joined = "".join(tokens)
+    return joined.isascii() and joined.isdigit() and min(map(len, tokens)) > 0 and max(map(len, tokens)) <= 4300
 
 
 def parse_partition(text: str) -> Partition:
@@ -34,17 +35,20 @@ def parse_partition(text: str) -> Partition:
     text = text.strip()
     if not text:
         return _EMPTY
+    tokens = text.split(",")
+    stripped = list(map(str.strip, tokens))
+    if _all_digits(stripped) and sum(ints := tuple(map(int, stripped))) + ints.count(0) <= MAX_PARTS:
+        return Partition(ints)  # no exponent and within the bound: one int pass; the loop reports every refusal
     parts: list[int] = []
     cells = pos = 0
-    for token in text.split(","):
-        stripped = token.strip()
-        base, caret, exp = stripped.partition("^")
-        if not _is_digits(base) or (caret and not _is_digits(exp)):
-            raise BadPartitionSyntax(f"bad token {stripped!r} at position {pos}")
+    for token, plain in zip(tokens, stripped):
+        base, caret, exp = plain.partition("^")
+        if not _all_digits([base]) or (caret and not _all_digits([exp])):
+            raise BadPartitionSyntax(f"bad token {plain!r} at position {pos}")
         part, count = int(base), int(exp) if caret else 1
         cells += (part or 1) * count  # a part 0, which Partition refuses, counts as one cell so the list stays bounded
         if cells > MAX_PARTS:
-            raise BadPartitionSyntax(f"token {stripped!r} at position {pos} makes more than {MAX_PARTS} cells")
+            raise BadPartitionSyntax(f"token {plain!r} at position {pos} makes more than {MAX_PARTS} cells")
         parts.extend([part] * count)
         pos += len(token) + 1
     return Partition(tuple(parts))
@@ -55,7 +59,7 @@ def parse_int_list(text: str) -> list[int]:
     pos = 0
     for token in text.split(","):
         stripped = token.strip()
-        if not _is_digits(stripped):
+        if not _all_digits([stripped]):
             raise BadPartitionSyntax(f"bad integer {stripped!r} at position {pos}")
         out.append(int(stripped))
         pos += len(token) + 1

@@ -25,7 +25,7 @@ from .errors import (
     require_modulus,
     require_residue,
 )
-from .partitions import _EMPTY, DeltaSet, Partition, _frobenius, _rows, _self_conjugate_arms
+from .partitions import _EMPTY, DeltaSet, Partition, _check_descending, _frobenius, _rows, _self_conjugate_arms
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,12 @@ def core_counts(core: Partition, p: int) -> CoreCounts:
 def shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The gap set S (values below d0 missing from legs) and the tail set T (legs >= d0).
 
-    Always satisfies len(S) + len(legs-in-[0,d0)) == d0 and S disjoint from T.
+    The legs must strictly decrease and be >= 0. Always len(S) + len(legs-in-[0,d0)) == d0, S disjoint from T.
     """
+    return _shift_sets(_check_descending(legs, "legs"), d0)
+
+
+def _shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     n = _as_int(d0)
     if n < 1:
         raise InternalInconsistency(f"shift amount must be >= 1, got {d0!r}")
@@ -76,10 +80,10 @@ def shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int
 
 
 def _shift(legs: Sequence[int], arms: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Descending legs and arms in, descending out: the moved arms are all >= d0,
-    # the new arms d0-s-1 all < d0, and ascending gaps s give descending d0-s-1.
-    s_set, t_set = shift_sets(legs, d0)
-    d0 = len(s_set) + len(legs) - len(t_set)  # the plain int shift_sets read: each value below it is a gap or a leg
+    # Checked descending legs and arms in (a QuotientEntry's or a Partition's), descending out: the moved
+    # arms are all >= d0, the new arms d0-s-1 all < d0, and ascending gaps s give descending d0-s-1.
+    s_set, t_set = _shift_sets(legs, d0)
+    d0 = len(s_set) + len(legs) - len(t_set)  # the plain int _shift_sets read: each value below it is a gap or a leg
     arms = tuple(a + d0 for a in arms) + tuple(d0 - s - 1 for s in reversed(s_set))
     return tuple(t - d0 for t in t_set), arms
 

@@ -6,6 +6,7 @@ first-class value. All quantities fit comfortably in native integers; the
 library is meant for desk-scale weights (n up to a few thousand at most).
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -35,13 +36,13 @@ class Partition:
     def __post_init__(self):
         given = tuple(self.parts)
         parts = _ints(given)
-        for k, part in enumerate(parts):
-            if part < 1:
-                raise NonPositivePart(f"part #{k + 1} is {given[k]!r}, must be an integer >= 1")
+        if parts and min(parts) < 1:  # builtin passes decide; the loops only find what the message shows
+            k = next(k for k, part in enumerate(parts) if part < 1)
+            raise NonPositivePart(f"part #{k + 1} is {given[k]!r}, must be an integer >= 1")
         object.__setattr__(self, "parts", parts)
-        for a, b in zip(parts, parts[1:]):
-            if b > a:
-                raise NonMonotonic(f"parts must be weakly decreasing, found {a} before {b}")
+        if not all(map(operator.ge, parts, parts[1:])):
+            a, b = next((a, b) for a, b in zip(parts, parts[1:]) if b > a)
+            raise NonMonotonic(f"parts must be weakly decreasing, found {a} before {b}")
 
     def __len__(self) -> int:
         return len(self.parts)

@@ -1,4 +1,4 @@
-"""Shared sweep caches, hypothesis strategies and a call-counting fixture."""
+"""Shared sweep caches, hypothesis strategies, an `__index__`-only integer and a call-counting fixture."""
 
 from functools import lru_cache
 
@@ -17,6 +17,16 @@ def partitions_up_to(n_max: int) -> tuple[Partition, ...]:
 @lru_cache(maxsize=None)
 def symmetric_up_to(n_max: int) -> tuple[Partition, ...]:
     return tuple(la for n in range(n_max + 1) for la in enumerate_partitions(n, symmetric_only=True))
+
+
+class Index:
+    """An integer only through `__index__`: no arithmetic, ordering or equality with ints."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
 
 
 @st.composite

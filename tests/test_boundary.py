@@ -2,14 +2,15 @@
 
 So a modulus, residue or count that is an integer only through `__index__`
 gives the result of the plain int, and a non-integer modulus is refused with
-BadModulus before anything else runs. A shift amount and the ends of a hook
-follow the same integer rule.
+BadModulus before anything else runs. A shift amount, the legs it shifts and
+the ends of a hook follow the same integer rule.
 """
 
 import re
 
 import pytest
 
+from conftest import Index
 from diaghooks import (
     Abacus,
     Partition,
@@ -35,18 +36,8 @@ from diaghooks import (
 )
 from diaghooks.beta import BetaHook, BetaSet, remove_hook, young_hook
 from diaghooks.bisequence import QuotientEntry
-from diaghooks.errors import BadModulus, InternalInconsistency, NotAPHook
+from diaghooks.errors import BadModulus, InternalInconsistency, NotAPHook, NotStrictlyDecreasing
 from diaghooks.formula import d0_shift, shift_sets
-
-
-class Index:
-    """An integer only through `__index__`: no arithmetic, ordering or equality with ints."""
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __index__(self) -> int:
-        return self.value
 
 
 LA = Partition((6, 4, 3, 2, 2, 1))
@@ -107,6 +98,7 @@ def test_symmetric_quotient_refuses_a_modulus_its_length_could_match(p):
 ENTRY = QuotientEntry((1,), (0,))
 HOOK_BEADS = BetaSet((2,))
 HOOK_END_SHOWN = "is not a hook of this bead set"
+LEGS_SHOWN = "legs must be non-negative integers"
 
 INTEGER_RULE_CASES = {
     # each value is a refusal (error, message) or the plain-int call whose result the call must give
@@ -114,6 +106,15 @@ INTEGER_RULE_CASES = {
     "shift_sets-str": (lambda: shift_sets((0,), "2"), (InternalInconsistency, "got '2'")),
     "shift_sets-bool": (lambda: shift_sets((0,), True), (InternalInconsistency, "got True")),
     "shift_sets-index": (lambda: shift_sets((0,), Index(2)), lambda: shift_sets((0,), 2)),
+    "shift_sets-leg-float": (lambda: shift_sets((2.5,), 2), (NotStrictlyDecreasing, LEGS_SHOWN)),
+    "shift_sets-leg-bool": (lambda: shift_sets((True,), 2), (NotStrictlyDecreasing, LEGS_SHOWN)),
+    "shift_sets-leg-str": (lambda: shift_sets(("a",), 2), (NotStrictlyDecreasing, LEGS_SHOWN)),
+    "shift_sets-leg-negative": (lambda: shift_sets((-1,), 2), (NotStrictlyDecreasing, LEGS_SHOWN)),
+    "shift_sets-leg-repeated": (
+        lambda: shift_sets((0, 0), 2),
+        (NotStrictlyDecreasing, "legs must strictly decrease, found 0 then 0"),
+    ),
+    "shift_sets-leg-index": (lambda: shift_sets((Index(3), Index(0)), 2), lambda: shift_sets((3, 0), 2)),
     "d0_shift-float": (lambda: d0_shift(ENTRY, 2.5), (InternalInconsistency, "got 2.5")),
     "d0_shift-index": (lambda: d0_shift(ENTRY, Index(2)), lambda: d0_shift(ENTRY, 2)),
     "young_hook-float": (

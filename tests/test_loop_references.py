@@ -1,0 +1,164 @@
+"""The builtin passes against the per-element loops they replaced, kept here as references.
+
+Each reference is the loop as it read before parsing, validation and the bead
+encodings moved into `map`, `filter`, `min` and `str` methods; a result must be
+the same value, and a refusal the same exception type and message.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import Index, bead_sets, partitions
+from diaghooks import cli
+from diaghooks.abacus import _core_of, is_symmetric_quotient, p_core
+from diaghooks.beta import BetaSet, _beads, _parts, beta_of, partition_of
+from diaghooks.cli import parse_partition
+from diaghooks.errors import BadPartitionSyntax, NonMonotonic, NonPositivePart, _ints
+from diaghooks.partitions import _EMPTY, Partition, _columns, _rows
+
+
+def outcome(call, *args):
+    """call(*args) as ("value", result) or ("error", type, message)."""
+    try:
+        return "value", call(*args)
+    except Exception as exc:  # the type is part of what must match
+        return "error", type(exc), str(exc)
+
+
+def reference_is_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit() and len(text) <= 4300
+
+
+def reference_parse_partition(text: str) -> Partition:
+    text = text.strip()
+    if not text:
+        return _EMPTY
+    parts: list[int] = []
+    cells = pos = 0
+    for token in text.split(","):
+        stripped = token.strip()
+        base, caret, exp = stripped.partition("^")
+        if not reference_is_digits(base) or (caret and not reference_is_digits(exp)):
+            raise BadPartitionSyntax(f"bad token {stripped!r} at position {pos}")
+        part, count = int(base), int(exp) if caret else 1
+        cells += (part or 1) * count
+        if cells > cli.MAX_PARTS:
+            raise BadPartitionSyntax(f"token {stripped!r} at position {pos} makes more than {cli.MAX_PARTS} cells")
+        parts.extend([part] * count)
+        pos += len(token) + 1
+    return Partition(tuple(parts))
+
+
+def reference_partition_parts(given: tuple) -> tuple[int, ...]:
+    parts = _ints(given)
+    for k, part in enumerate(parts):
+        if part < 1:
+            raise NonPositivePart(f"part #{k + 1} is {given[k]!r}, must be an integer >= 1")
+    for a, b in zip(parts, parts[1:]):
+        if b > a:
+            raise NonMonotonic(f"parts must be weakly decreasing, found {a} before {b}")
+    return parts
+
+
+def reference_beads(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
+    return tuple(part + k - i for i, part in enumerate(parts, 1)) + tuple(range(k - len(parts) - 1, -1, -1))
+
+
+def reference_parts(ascending) -> tuple[int, ...]:
+    return tuple(reversed([b - j for j, b in enumerate(ascending) if b > j]))
+
+
+def reference_core_of(rows: list[list[int]], p: int) -> Partition:
+    return Partition(reference_parts(sorted(g + m * p for g, r in enumerate(rows) for m in range(len(r)))))
+
+
+def reference_is_symmetric_quotient(quotient) -> bool:
+    n = len(quotient)
+    return all(quotient[g].parts == _columns(quotient[n - 1 - g].parts) for g in range((n + 1) // 2))
+
+
+TOKEN_TEXT = st.text(alphabet=",^ 0123456789²３a", max_size=8)
+LONG_DIGITS = st.sampled_from(["1" * 4300, "1" * 4301, "0" * 4301, "2^" + "1" * 4301])
+PARSER_TEXT = st.lists(st.one_of(TOKEN_TEXT, TOKEN_TEXT, LONG_DIGITS), max_size=6).map(",".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PARSER_TEXT)
+def test_parse_partition_matches_the_token_loop(text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "MAX_PARTS", 10)
+        assert outcome(parse_partition, text) == outcome(reference_parse_partition, text)
+
+
+@pytest.mark.parametrize("text", [
+    "3,2,1", " 4 , 4 ,1", "10", "11", "5,5,1", "6,5", "0", "2,0", "1,2", "3,,1", "3,1,", "１,1", "3²",
+    "1" * 4300, "1" * 4301, "9,9", "5,5,0", "9,0,0", "10^1", "1^10", "1^11", "0^11",
+])
+def test_parse_partition_matches_the_token_loop_at_the_bounds(monkeypatch, text):
+    monkeypatch.setattr(cli, "MAX_PARTS", 10)
+    assert outcome(parse_partition, text) == outcome(reference_parse_partition, text)
+
+
+PART = st.one_of(
+    st.integers(-2, 6),
+    st.floats(-1, 6),
+    st.booleans(),
+    st.integers(-2, 6).map(Index),
+    st.sampled_from(["1", None]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(PART, max_size=6).map(tuple))
+def test_partition_validation_matches_the_loops(given):
+    got = outcome(lambda: Partition(given).parts)
+    assert got == outcome(reference_partition_parts, given)
+
+
+@given(st.lists(st.integers(1, 9), max_size=8).map(lambda xs: tuple(sorted(xs, reverse=True))))
+def test_descending_parts_pass_and_keep_their_values(parts):
+    assert Partition(parts).parts == reference_partition_parts(parts)
+
+
+@given(partitions(), st.integers(0, 5))
+def test_beads_match_the_generator(la, extra):
+    k = len(la.parts) + extra
+    assert _beads(la.parts, k) == reference_beads(la.parts, k)
+
+
+@given(bead_sets())
+def test_parts_match_the_generator(x):
+    assert _parts(x.beads) == _parts(list(x.beads)) == reference_parts(x.beads)
+    assert partition_of(x).parts == reference_parts(x.beads)
+
+
+@given(partitions(), st.integers(2, 7), st.integers(0, 3))
+def test_core_of_skips_full_rows_at_any_bead_count(la, p, j):
+    rows = _rows(beta_of(la, len(la.parts) + j * p).beads, p)
+    assert _core_of(rows, p) == reference_core_of(rows, p) == p_core(la, p)
+    k = -(-len(la.parts) // p) * p + j * p  # the canonical counts, j * p beads on
+    assert _core_of(_rows(beta_of(la, k).beads, p), p) == p_core(la, p)
+
+
+@pytest.mark.parametrize("p", [2, 5, 97])
+def test_core_of_reads_one_long_runner(p):
+    x = BetaSet(tuple(range(p)) + tuple(range(2 * p, 300 * p, p)))  # runner 0 holds 299 beads, the rest one each
+    rows = _rows(x.beads, p)
+    assert _core_of(rows, p) == reference_core_of(rows, p) == p_core(partition_of(x), p)
+
+
+COMPONENT = partitions(max_part=3, max_rows=3)
+
+
+@given(st.lists(st.one_of(st.just(_EMPTY), COMPONENT), min_size=1, max_size=7), st.data())
+def test_symmetric_quotient_verdict_matches_the_pair_loop(components, data):
+    n = len(components)
+    if data.draw(st.booleans()):  # mirror the first half in half the draws, so that True verdicts occur
+        for g in range(n // 2):
+            components[n - 1 - g] = Partition(_columns(components[g].parts))
+    quotient = tuple(components)
+    expected = reference_is_symmetric_quotient(quotient)
+    assert is_symmetric_quotient(quotient) == expected
+    if n >= 2:
+        assert is_symmetric_quotient(quotient, n) == expected
