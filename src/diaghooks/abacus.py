@@ -8,6 +8,7 @@ deterministic.
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -118,8 +119,12 @@ def is_symmetric_quotient(quotient: Sequence[Partition], p: int | None = None) -
 def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: int) -> Partition:
     """Rebuild the unique partition with the given p-core and p-quotient.
 
-    Inverse of (p_core, p_quotient): lay out the core, then replace each
-    runner's bead rows by the encoding of the corresponding component.
+    Inverse of (p_core, p_quotient). A p-core's runners are packed, so lay
+    the core out with enough spare full rows that each runner holds at least
+    as many beads as its component has parts; then on runner g a component
+    with parts q1 >= q2 >= ... moves the runner's top bead q1 rows up, the
+    next bead q2 rows up, and so on. Every other bead stays where the core
+    put it, and spare full rows encode nothing.
     """
     p = require_modulus(p)
     quotient = tuple(quotient)
@@ -131,17 +136,18 @@ def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: in
 
 def _rebuild(core: Partition, quotient: Sequence[Partition], p: int) -> Partition:
     """from_core_and_quotient on a pair already checked: a p-core and p components."""
-    counts = [len(r) for r in _rows(_beads(core.parts, _canonical_bead_count(core, p)), p)]
-    # p more beads push every bead one row down and add one bead per runner,
-    # so the runner counts at k + j*p beads are the counts at k, plus j.
-    j = max(0, max(len(q.parts) - c for q, c in zip(quotient, counts)))
-    beads = []  # distinct: each is one (runner, row)
-    for g in range(p):
-        parts = quotient[g].parts
-        if parts:
-            beads.extend(g + m * p for m in _beads(parts, counts[g] + j))
-        else:  # an empty component is rows 0 .. counts[g] + j - 1 of its runner
-            beads.extend(range(g, g + (counts[g] + j) * p, p))
+    k = _canonical_bead_count(core, p)
+    low = k - len(core.parts) - 1  # the core's layout fills 0 .. low; its row parts' beads lie above
+    tops = {b % p: b for b in reversed(_beads(core.parts, k)[: len(core.parts)])}  # ascending: a runner keeps its highest
+    # each component's runner top: a row part's bead, else the highest of 0 .. low on it (g - p, row -1, if none)
+    moved = [(tops.get(g, low - (low - g) % p), c.parts) for g, c in enumerate(quotient) if c.parts]
+    # a spare full row adds one bead to every runner and encodes nothing: add as many as the runners lack
+    j = max([len(parts) - top // p - 1 for top, parts in moved] + [0])
+    beads = set(_beads(core.parts, k + j * p))
+    for top, parts in moved:
+        rows = range(top + j * p, top + (j - len(parts)) * p, -p)
+        beads.difference_update(rows)
+        beads.update(map(operator.add, rows, map(p.__mul__, parts)))
     return Partition(_parts(sorted(beads)))
 
 

@@ -11,6 +11,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict
+from operator import attrgetter
 
 from .abacus import _rebuild, core_and_quotient, is_p_core, p_quotient, render_ascii
 from .bisequence import diagonal_bisequence, is_symmetric_p_core
@@ -82,18 +83,19 @@ def _lengths(delta: DeltaSet) -> str:
 def cmd_core(args) -> int:
     la = parse_partition(args.partition)
     core, quotient = core_and_quotient(la, args.p)
+    weights = list(map(sum, map(attrgetter("parts"), quotient)))
     if args.json:
         print(json.dumps({
             "partition": list(la.parts),
             "p": args.p,
             "core": list(core.parts),
-            "quotient": [list(c.parts) for c in quotient],
-            "weights": {"total": la.weight, "core": core.weight, "quotient": [c.weight for c in quotient]},
+            "quotient": list(map(attrgetter("parts"), quotient)),
+            "weights": {"total": la.weight, "core": core.weight, "quotient": weights},
         }))
     else:
         print(f"core: {core}")
         print(f"quotient: {', '.join(str(c) for c in quotient)}")
-        print(f"weights: n={la.weight} core={core.weight} quotient={[c.weight for c in quotient]}")
+        print(f"weights: n={la.weight} core={core.weight} quotient={weights}")
     return 0
 
 
@@ -114,20 +116,20 @@ def cmd_quotient(args) -> int:
 
 def cmd_delta(args) -> int:
     core = _input_partition(args.core, args.from_delta)
-    quotient = tuple(parse_partition(q) for q in args.quotient)
+    quotient = tuple(map(parse_partition, args.quotient))
     p = args.p
     checked = delta_general(core, quotient, p)  # validates the pair once, before either route runs
     formula = checked if args.method in ("formula", "both") else None
     rebuilt = _rebuild(core, quotient, p)  # the guard above checked all the public rebuild would
     oracle = delta_of(rebuilt) if args.method in ("oracle", "both") else None
     shown = formula if formula is not None else oracle
-    expected = core.weight + p * sum(c.weight for c in quotient)
+    expected = core.weight + p * sum(map(sum, map(attrgetter("parts"), quotient)))
     conserved = shown.total == expected
     agree = (formula == oracle) if formula is not None and oracle is not None else None
     if args.json:
         print(json.dumps({
             "core": list(core.parts),
-            "quotient": [list(c.parts) for c in quotient],
+            "quotient": list(map(attrgetter("parts"), quotient)),
             "p": p,
             "partition": list(rebuilt.parts),
             "n": expected,
@@ -182,6 +184,8 @@ def cmd_verify(args) -> int:
     moduli = parse_int_list(args.primes)
     if args.n_max > MAX_N_MAX:
         raise BadPartitionSyntax(f"--n-max {args.n_max} is above {MAX_N_MAX}")
+    if args.n_max * sum(moduli) > MAX_N_MAX * 1000:  # a cell's abacus has about n * p beads
+        raise BadModulus(f"--n-max {args.n_max} times the --primes sum {sum(moduli)} is above {MAX_N_MAX * 1000}")
     report = run_verify(args.n_max, moduli)
     if args.json:
         print(json.dumps({
@@ -258,10 +262,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _is_arg(token: str) -> bool:
-    return not token.startswith("-")
-
-
 def _split_quotients(argv: list[str]) -> tuple[list[str], list[str] | None]:
     """A `delta` line without its --quotient options, and their values in order.
 
@@ -280,14 +280,14 @@ def _split_quotients(argv: list[str]) -> tuple[list[str], list[str] | None]:
     for token in tokens:
         if token == "--quotient":
             value = next(tokens, "-")  # a missing value is refused like an option
-            if not (after_arg and _is_arg(value)):
+            if not after_arg or value.startswith("-"):
                 return whole
             values.append(value)
         elif token.startswith("--q"):
             return whole
         else:
             rest.append(token)
-            after_arg = _is_arg(token)
+            after_arg = not token.startswith("-")
     return rest, values
 
 

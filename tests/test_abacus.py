@@ -28,7 +28,7 @@ from diaghooks.errors import (
     TooFewBeads,
     WrongQuotientLength,
 )
-from diaghooks.partitions import Partition, all_hooks
+from diaghooks.partitions import Partition, _rows, all_hooks, from_delta_lengths
 
 P = Partition
 
@@ -394,6 +394,21 @@ class TestRowLists:
         from_core_and_quotient(core, quotient, len(quotient))
         assert built == []
         assert runner == []
+
+    @pytest.mark.parametrize("core, quotient", [
+        (P(()), (P(()),) * 997),
+        (from_delta_lengths([2015, 1001, 21]), tuple(P((2, 1)) if g in (3, 498, 993) else P(()) for g in range(997))),
+        (P((3, 1, 1)), (P(()), P((1,) * 5), P(()), P(()), P((2, 2)), P(()))),
+    ], ids=["p997-empty", "p997-three-runners", "p6-long-component"])
+    def test_rebuild_moves_beads_without_bucketing_the_core(self, count_calls, core, quotient):
+        p = len(quotient)
+        assert abacus._rows is _rows
+        rows = count_calls(abacus, "_rows")
+        built = count_calls(BetaSet, "__post_init__")
+        la = abacus._rebuild(core, quotient, p)
+        assert rows == []
+        assert built == []
+        assert core_and_quotient(la, p) == (core, quotient)
 
     @pytest.mark.parametrize("p", [97, 997])
     def test_long_component_beside_empty_runners(self, p):

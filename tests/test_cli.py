@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from diaghooks import abacus, cli, errors, formula, verify
 from diaghooks.cli import build_parser, main, parse_int_list, parse_partition
 from diaghooks.errors import BadPartitionSyntax, NonMonotonic, NonPositivePart
-from diaghooks.partitions import DeltaSet, Partition
+from diaghooks.abacus import from_core_and_quotient
+from diaghooks.formula import delta_general
+from diaghooks.partitions import DeltaSet, Partition, delta_of, from_delta_lengths
 from diaghooks.verify import VerifyReport
 
 WEIGHT_190 = ["--quotient", "6^2,2", "--quotient", "3", "--quotient", "2^2",
@@ -303,6 +305,23 @@ class TestVerifyCommand:
         assert main(["verify", "--n-max", "120"]) == 0
         assert calls == [120]
 
+    def test_work_is_bounded_before_the_sweep(self, capsys, monkeypatch):
+        # each of these lines passes both the --n-max and the --primes bound
+        calls = []
+
+        def report(n_max, moduli):
+            calls.append((n_max, moduli))
+            return VerifyReport(n_max, (3,))
+
+        monkeypatch.setattr(cli, "run_verify", report)
+        assert main(["verify", "--n-max", "120", "--primes", "999999"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: BadModulus: --n-max 120 times the --primes sum 999999 is above 120000\n"
+        assert calls == []
+        assert main(["verify", "--n-max", "120", "--primes", "3,5,7"]) == 0
+        assert main(["verify", "--n-max", "20", "--primes", "997"]) == 0
+        assert calls == [(120, [3, 5, 7]), (20, [997])]
+
 
 
 class TestFailureReports:
@@ -382,6 +401,11 @@ class TestExitCodes:
         for cls in subclasses:
             assert cls.exit_code == documented.get(cls, 2), cls.__name__
 
+    def test_readme_table_names_the_verify_work_bound(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        row = next(line for line in readme.splitlines() if line.startswith("| 3 |"))
+        assert "--n-max" in row and "MAX_N_MAX * 1000" in row
+
 
 class TestModulusBound:
     HUGE = "100000000"
@@ -424,6 +448,31 @@ class TestEmptyRunnerLines:
         assert main(["core", ",".join(map(str, data["partition"])), "--p", str(p), "--json"]) == 0
         assert len(built) <= 3 + 2
         assert json.loads(capsys.readouterr().out)["quotient"] == data["quotient"]
+
+    @pytest.mark.parametrize("p, core_lengths, components", [
+        (5, CORE_DELTA_TEXT, ["6^2,2", "3", "2^2", "1^3", "3^2,2^4"]),
+        (997, "2015,1001,21", {3: "3,1", 993: "2,1,1", 498: "2,1"}),
+    ], ids=["p5", "p997"])
+    def test_json_is_what_lists_would_give(self, p, core_lengths, components, capsys):
+        # `json` writes the parts tuples as arrays: the output is the dump of the same dict built with lists
+        texts = components if isinstance(components, list) else [components.get(g, "") for g in range(p)]
+        core, quotient = from_delta_lengths(parse_int_list(core_lengths)), tuple(map(parse_partition, texts))
+        rebuilt = from_core_and_quotient(core, quotient, p)
+        formula, oracle = delta_general(core, quotient, p), delta_of(rebuilt)
+        n = core.weight + p * sum(c.weight for c in quotient)
+        argv = ["delta", "--from-delta", "--core", core_lengths, *[a for t in texts for a in ("--quotient", t)]]
+        assert main([*argv, "--p", str(p), "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps({
+            "core": list(core.parts), "quotient": [list(c.parts) for c in quotient], "p": p,
+            "partition": list(rebuilt.parts), "n": n, "delta_formula": list(formula.lengths),
+            "delta_oracle": list(oracle.lengths), "conserved": formula.total == n, "agree": formula == oracle,
+        }) + "\n"
+        assert main(["core", ",".join(map(str, rebuilt.parts)), "--p", str(p), "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps({
+            "partition": list(rebuilt.parts), "p": p, "core": list(core.parts),
+            "quotient": [list(c.parts) for c in quotient],
+            "weights": {"total": rebuilt.weight, "core": core.weight, "quotient": [c.weight for c in quotient]},
+        }) + "\n"
 
 
 class TestInternalErrors:

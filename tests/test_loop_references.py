@@ -1,8 +1,9 @@
 """The builtin passes against the per-element loops they replaced, kept here as references.
 
 Each reference is the loop as it read before parsing, validation and the bead
-encodings moved into `map`, `filter`, `min` and `str` methods; a result must be
-the same value, and a refusal the same exception type and message.
+encodings moved into `map`, `filter`, `min` and `str` methods, or before the
+rebuild moved only the beads of non-empty components; a result must be the
+same value, and a refusal the same exception type and message.
 """
 
 import pytest
@@ -11,11 +12,20 @@ from hypothesis import strategies as st
 
 from conftest import Index, bead_sets, partitions
 from diaghooks import cli
-from diaghooks.abacus import _core_of, is_symmetric_quotient, p_core
+from diaghooks.abacus import (
+    _canonical_bead_count,
+    _core_of,
+    _rebuild,
+    core_and_quotient,
+    is_p_core,
+    is_symmetric_quotient,
+    p_core,
+    to_abacus,
+)
 from diaghooks.beta import BetaSet, _beads, _parts, beta_of, partition_of
 from diaghooks.cli import parse_partition
 from diaghooks.errors import BadPartitionSyntax, NonMonotonic, NonPositivePart, _ints
-from diaghooks.partitions import _EMPTY, Partition, _columns, _rows
+from diaghooks.partitions import _EMPTY, Partition, _columns, _rows, from_delta_lengths
 
 
 def outcome(call, *args):
@@ -71,6 +81,19 @@ def reference_parts(ascending) -> tuple[int, ...]:
 
 def reference_core_of(rows: list[list[int]], p: int) -> Partition:
     return Partition(reference_parts(sorted(g + m * p for g, r in enumerate(rows) for m in range(len(r)))))
+
+
+def reference_rebuild(core: Partition, quotient, p: int) -> Partition:
+    counts = [len(r) for r in _rows(_beads(core.parts, _canonical_bead_count(core, p)), p)]
+    j = max(0, max(len(q.parts) - c for q, c in zip(quotient, counts)))
+    beads = []
+    for g in range(p):
+        parts = quotient[g].parts
+        if parts:
+            beads.extend(g + m * p for m in _beads(parts, counts[g] + j))
+        else:
+            beads.extend(range(g, g + (counts[g] + j) * p, p))
+    return Partition(_parts(sorted(beads)))
 
 
 def reference_is_symmetric_quotient(quotient) -> bool:
@@ -162,3 +185,33 @@ def test_symmetric_quotient_verdict_matches_the_pair_loop(components, data):
     assert is_symmetric_quotient(quotient) == expected
     if n >= 2:
         assert is_symmetric_quotient(quotient, n) == expected
+
+
+LONG_COMPONENT = st.one_of(st.just(_EMPTY), partitions(max_part=3, max_rows=3), partitions(max_part=2, max_rows=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitions(max_part=24, max_rows=16), st.integers(2, 13), st.data())
+def test_rebuild_matches_the_runner_walk(core_seed, p, data):
+    core = p_core(core_seed, p)
+    quotient = tuple(data.draw(LONG_COMPONENT) for _ in range(p))
+    la = _rebuild(core, quotient, p)
+    assert la == reference_rebuild(core, quotient, p)
+    assert core_and_quotient(la, p) == (core, quotient)
+
+
+@pytest.mark.parametrize("p", [97, 997])
+@pytest.mark.parametrize("long_runner", ["side", "centre"])
+def test_rebuild_matches_the_runner_walk_at_large_p(p, long_runner):
+    core = from_delta_lengths([2 * (10 + p) + 1, 21])  # arms 10 and 10 + p: one residue class, a symmetric p-core
+    long = Partition((2, 2) + (1,) * 6)
+    quotient = [_EMPTY] * p
+    quotient[3], quotient[p - 4], quotient[(p - 1) // 2] = Partition((3, 1)), Partition((2, 1, 1)), Partition((2, 1))
+    quotient[3 if long_runner == "side" else (p - 1) // 2] = long
+    quotient = tuple(quotient)
+    assert is_p_core(core, p)
+    assert max(map(len, to_abacus(core, p).runners)) < len(long.parts)
+    la = _rebuild(core, quotient, p)
+    assert la == reference_rebuild(core, quotient, p)
+    assert core_and_quotient(la, p) == (core, quotient)
+    assert la.weight == core.weight + p * sum(q.weight for q in quotient)
