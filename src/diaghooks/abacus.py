@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .beta import BetaHook, BetaSet, _beads, _parts, axis_of, beta_of
+from .beta import BetaHook, BetaSet, _beads, _decoded, axis_of, beta_of
 from .errors import (
     BadModulus,
     NonEmptyCore,
@@ -65,12 +65,12 @@ def _core_of(rows: list[list[int]], p: int) -> Partition:
     while live := [g for g in live if counts[g] > row]:
         beads += [g + offset for g in live]
         row, offset = row + 1, offset + p
-    return Partition(_parts(beads))
+    return _decoded(beads)
 
 
 def _quotient_of(rows: list[list[int]]) -> tuple[Partition, ...]:
     # an ascending row that ends at len - 1 is packed: it decodes to no parts
-    return tuple(Partition(_parts(r)) if r and r[-1] >= len(r) else _EMPTY for r in rows)
+    return tuple(_decoded(r) if r and r[-1] >= len(r) else _EMPTY for r in rows)
 
 
 def p_core(la: Partition, p: int) -> Partition:
@@ -148,7 +148,7 @@ def _rebuild(core: Partition, quotient: Sequence[Partition], p: int) -> Partitio
         rows = range(top + j * p, top + (j - len(parts)) * p, -p)
         beads.difference_update(rows)
         beads.update(map(operator.add, rows, map(p.__mul__, parts)))
-    return Partition(_parts(sorted(beads)))
+    return _decoded(sorted(beads))
 
 
 class HookSide(enum.Enum):

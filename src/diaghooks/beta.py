@@ -7,6 +7,7 @@ right with a bead pushed in at the origin. All axis arithmetic is kept exact
 by storing 2*theta (an odd integer) instead of the half-integer theta.
 """
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -25,11 +26,14 @@ class BetaSet:
         given = tuple(self.beads)
         beads = tuple(sorted(_ints(given)))
         object.__setattr__(self, "beads", beads)
-        object.__setattr__(self, "_members", frozenset(beads))
         if beads and beads[0] < 0:
             raise InvalidBetaSet(f"bead position {min(given, key=_as_int)!r} is not a non-negative integer")
-        if len(self._members) < len(beads):
+        if not all(map(operator.lt, beads, beads[1:])):
             raise InvalidBetaSet(f"duplicate bead position {next(a for a, b in zip(beads, beads[1:]) if a == b)}")
+
+    @functools.cached_property
+    def _members(self) -> frozenset[int]:  # built on the first `in`, which no reader or rebuild asks
+        return frozenset(self.beads)
 
     def __contains__(self, pos: int) -> bool:
         return pos in self._members
@@ -111,9 +115,17 @@ def _parts(ascending: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     return tuple(filter(None, map(operator.sub, reversed(ascending), range(len(ascending) - 1, -1, -1))))
 
 
+def _decoded(ascending: list[int] | tuple[int, ...]) -> Partition:
+    """partition_of without Partition's checks, the only such construction. `_parts` of distinct ascending non-negative
+    int positions gives plain ints, positive as zeros are dropped, weakly decreasing as b[j+1] - (j+1) >= b[j] - j."""
+    la = object.__new__(Partition)
+    object.__setattr__(la, "parts", _parts(ascending))
+    return la
+
+
 def partition_of(x: BetaSet) -> Partition:
     """The partition encoded by a bead set (inverse of beta_of at k = len)."""
-    return Partition(_parts(x.beads))
+    return _decoded(x.beads)
 
 
 def hooks_of(x: BetaSet) -> list[BetaHook]:

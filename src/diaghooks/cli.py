@@ -26,9 +26,9 @@ MAX_N_MAX = 120  # verify refuses more: run_verify(120, (3,5,7)) checks 417,891 
 
 
 def _all_digits(tokens: list[str]) -> bool:
-    # str.isdigit alone accepts '²' and '３'; int() refuses more than 4300 digits by default
-    joined = "".join(tokens)
-    return joined.isascii() and joined.isdigit() and min(map(len, tokens)) > 0 and max(map(len, tokens)) <= 4300
+    # str.isdigit alone accepts '²' and '３'; int() refuses a token of over 4300 digits, which a shorter join rules out
+    s = "".join(tokens)
+    return s.isascii() and s.isdigit() and "" not in tokens and (len(s) <= 4300 or max(map(len, tokens)) <= 4300)
 
 
 def parse_partition(text: str) -> Partition:

@@ -137,7 +137,10 @@ def _as_int(v) -> int:
 def _ints(values) -> tuple[int, ...]:
     """values as a tuple of plain ints, each read by `_as_int`; a tuple of plain ints is returned as it is."""
     values = tuple(values)
-    return values if {int}.issuperset(map(type, values)) else tuple(map(_as_int, values))
+    for v in values:  # exits at the first non-int; a set of the types would be built in full first
+        if type(v) is not int:
+            return tuple(map(_as_int, values))
+    return values
 
 
 def require_modulus(p: int) -> int:

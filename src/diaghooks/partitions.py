@@ -60,12 +60,10 @@ class Partition:
     @property
     def durfee(self) -> int:
         """Side of the largest square of cells inside the diagram."""
-        t = 0
-        for i, part in enumerate(self.parts, start=1):
-            if part < i:
-                break
-            t = i
-        return t
+        for i, part in enumerate(self.parts):
+            if part <= i:  # row i + 1 is shorter than i + 1
+                return i
+        return len(self.parts)
 
     def conjugate(self) -> "Partition":
         """Partition of the column lengths; an involution."""
@@ -73,9 +71,8 @@ class Partition:
 
     @property
     def is_symmetric(self) -> bool:
-        """True when the partition equals its conjugate: its diagonal legs equal its arms."""
-        legs, arms = _frobenius(self)
-        return legs == arms
+        """True when the partition equals its conjugate."""
+        return self.parts == _columns(self.parts)
 
 
 _EMPTY = Partition(())  # shared by the parser and the readers for each empty component; frozen, so safe to share
@@ -97,11 +94,13 @@ def _frobenius(la: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     parts = la.parts
     legs, arms = [], []
     j = len(parts) - 1
-    for i in range(1, la.durfee + 1):
+    for i, part in enumerate(parts, start=1):
+        if part < i:  # past the Durfee square
+            break
         while parts[j] < i:
             j -= 1
         legs.append(j + 1 - i)
-        arms.append(parts[i - 1] - i)
+        arms.append(part - i)
     return tuple(legs), tuple(arms)
 
 
@@ -148,13 +147,13 @@ class DeltaSet:
     def __post_init__(self):
         given = tuple(self.lengths)
         lengths = _ints(given)
-        for k, d in enumerate(lengths):
+        for k, d in enumerate(lengths):  # faster than min and a parity pass on the few lengths a partition has
             if d < 1 or d % 2 == 0:
                 raise InvalidDeltaSet(f"{given[k]!r} is not a positive odd integer")
         object.__setattr__(self, "lengths", lengths)
-        for a, b in zip(lengths, lengths[1:]):
-            if b >= a:
-                raise InvalidDeltaSet(f"lengths must strictly decrease, found {a} then {b}")
+        if not all(map(operator.gt, lengths, lengths[1:])):
+            a, b = next((a, b) for a, b in zip(lengths, lengths[1:]) if b >= a)
+            raise InvalidDeltaSet(f"lengths must strictly decrease, found {a} then {b}")
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -172,9 +171,7 @@ def hook_at(la: Partition, i: int, j: int) -> Hook:
     row, col = _ints((i, j))
     if row < 1 or col < 1 or row > len(la.parts) or col > la.parts[row - 1]:
         raise CellOutOfDiagram(f"cell ({i!r},{j!r}) is not in the diagram of {la}")
-    arm = la.parts[row - 1] - col
-    leg = sum(1 for p in la.parts[row:] if p >= col)
-    return Hook(row=row, col=col, arm=arm, leg=leg)
+    return Hook(row=row, col=col, arm=la.parts[row - 1] - col, leg=sum(1 for p in la.parts[row:] if p >= col))
 
 
 def all_hooks(la: Partition) -> list[Hook]:
