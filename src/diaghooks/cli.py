@@ -14,7 +14,7 @@ from dataclasses import asdict
 from operator import attrgetter
 
 from .abacus import _rebuild, core_and_quotient, is_p_core, p_quotient, render_ascii
-from .bisequence import diagonal_bisequence, is_symmetric_p_core
+from .bisequence import Bisequence, is_symmetric_p_core
 from .errors import BadModulus, BadPartitionSyntax, DiagHookError
 from .formula import delta_general
 from .partitions import _EMPTY, DeltaSet, Partition, _self_conjugate_arms, delta_of, from_delta_lengths
@@ -68,7 +68,7 @@ def parse_int_list(text: str) -> list[int]:
 
 
 def _input_partition(text: str, from_delta: bool) -> Partition:
-    if from_delta:
+    if from_delta and text.strip():  # blank text is the empty partition in both modes
         lengths = parse_int_list(text)
         if sum(lengths) > MAX_PARTS:
             raise BadPartitionSyntax(f"diagonal hook lengths sum to more than {MAX_PARTS} cells")
@@ -154,8 +154,8 @@ def cmd_delta(args) -> int:
 
 def cmd_check_core(args) -> int:
     la = _input_partition(args.partition, args.from_delta)
-    _self_conjugate_arms(la)
-    by_criterion = is_symmetric_p_core(diagonal_bisequence(la), args.p)
+    arms = _self_conjugate_arms(la)
+    by_criterion = is_symmetric_p_core(Bisequence(arms, arms), args.p)
     by_hooks = is_p_core(la, args.p)
     agree = by_criterion == by_hooks
     if args.json:
@@ -181,12 +181,11 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    moduli = parse_int_list(args.primes)
     if args.n_max > MAX_N_MAX:
         raise BadPartitionSyntax(f"--n-max {args.n_max} is above {MAX_N_MAX}")
-    if args.n_max * sum(moduli) > MAX_N_MAX * 1000:  # a cell's abacus has about n * p beads
-        raise BadModulus(f"--n-max {args.n_max} times the --primes sum {sum(moduli)} is above {MAX_N_MAX * 1000}")
-    report = run_verify(args.n_max, moduli)
+    if args.n_max * sum(args.moduli) > MAX_N_MAX * 1000:  # a cell's abacus has about n * p beads
+        raise BadModulus(f"--n-max {args.n_max} times the --primes sum {sum(args.moduli)} is above {MAX_N_MAX * 1000}")
+    report = run_verify(args.n_max, args.moduli)
     if args.json:
         print(json.dumps({
             "n_max": report.n_max,
@@ -297,9 +296,9 @@ def main(argv=None) -> int:
     if quotients is not None:
         args.quotient = quotients
     try:
-        moduli = [args.p] if hasattr(args, "p") else parse_int_list(args.primes)
-        if max(moduli) > MAX_P:  # one check for every command, before any of them builds an abacus
-            raise BadModulus(f"p={max(moduli)} is above {MAX_P}")
+        args.moduli = [args.p] if hasattr(args, "p") else parse_int_list(args.primes)  # verify computes with it
+        if max(args.moduli) > MAX_P:  # one check for every command, before any of them builds an abacus
+            raise BadModulus(f"p={max(args.moduli)} is above {MAX_P}")
         return args.func(args)
     except DiagHookError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

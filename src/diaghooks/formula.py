@@ -66,24 +66,24 @@ def shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int
 
     The legs must strictly decrease and be >= 0. Always len(S) + len(legs-in-[0,d0)) == d0, S disjoint from T.
     """
-    return _shift_sets(_check_descending(legs, "legs"), d0)
+    return _shift_sets(_check_descending(legs, "legs"), d0)[:2]
 
 
-def _shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """S, T and the plain int d0 they were read with."""
     n = _as_int(d0)
     if n < 1:
         raise InternalInconsistency(f"shift amount must be >= 1, got {d0!r}")
     present = set(legs)
     s_set = tuple(s for s in range(n - 1, -1, -1) if s not in present)
     t_set = tuple(t for t in legs if t >= n)
-    return s_set, t_set
+    return s_set, t_set, n
 
 
 def _shift(legs: Sequence[int], arms: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # Checked descending legs and arms in (a QuotientEntry's or a Partition's), descending out: the moved
     # arms are all >= d0, the new arms d0-s-1 all < d0, and ascending gaps s give descending d0-s-1.
-    s_set, t_set = _shift_sets(legs, d0)
-    d0 = len(s_set) + len(legs) - len(t_set)  # the plain int _shift_sets read: each value below it is a gap or a leg
+    s_set, t_set, d0 = _shift_sets(legs, d0)
     arms = tuple(a + d0 for a in arms) + tuple(d0 - s - 1 for s in reversed(s_set))
     return tuple(t - d0 for t in t_set), arms
 
@@ -98,15 +98,14 @@ def d0_shift(entry: QuotientEntry, d0: int) -> QuotientEntry:
     return QuotientEntry(*_shift(entry.legs, entry.arms, d0))
 
 
-def _pair_arm_values(component: Partition, r: int, p: int, d0: int) -> list[int]:
-    """Arm values of the runner pair {r, p-1-r}, read from the component on runner r.
+def _pair_arm_values(legs: Sequence[int], arms: Sequence[int], r: int, p: int, d0: int) -> list[int]:
+    """Arm values of the runner pair {r, p-1-r}, from the Frobenius legs and arms of the component on runner r.
 
     The component's diagonal data is shifted by d0 when d0 > 0. Its arms then
     become arm values at residue r and its legs, which are the mirror
     component's arms, become arm values at p-1-r. On the centre runner of odd
     p the two residues coincide and only the arms count.
     """
-    legs, arms = _frobenius(component)
     if d0:
         legs, arms = _shift(legs, arms, d0)
     values = [r + m * p for m in arms]
@@ -132,7 +131,7 @@ def delta_concentrated_pair(component: Partition, g: int, p: int) -> DeltaSet:
     g = require_residue(g, p)
     if 2 * g == p - 1:
         raise CenterResidue(f"residue {g} is self-dual for p={p}; use delta_concentrated_center")
-    return _delta(_pair_arm_values(component, g, p, 0))
+    return _delta(_pair_arm_values(*_frobenius(component), g, p, 0))
 
 
 def delta_concentrated_center(component: Partition, p: int) -> DeltaSet:
@@ -145,8 +144,8 @@ def delta_concentrated_center(component: Partition, p: int) -> DeltaSet:
     p = require_modulus(p)
     if p % 2 == 0:
         raise EvenModulus(f"p={p} has no centre runner")
-    _self_conjugate_arms(component)
-    return _delta(_pair_arm_values(component, (p - 1) // 2, p, 0))
+    arms = _self_conjugate_arms(component)
+    return _delta(_pair_arm_values(arms, arms, (p - 1) // 2, p, 0))
 
 
 def delta_empty_core(quotient: Sequence[Partition], p: int) -> DeltaSet:
@@ -174,5 +173,5 @@ def delta_general(core: Partition, quotient: Sequence[Partition], p: int) -> Del
     for r in range((p + 1) // 2):
         g = p - 1 - r if d0[p - 1 - r] else r
         if d0[g] or quotient[g].parts:  # a pair with no core arms and empty components adds nothing
-            arm_values += _pair_arm_values(quotient[g], g, p, d0[g])
+            arm_values += _pair_arm_values(*_frobenius(quotient[g]), g, p, d0[g])
     return _delta(arm_values)

@@ -60,6 +60,11 @@ class TestBisequence:
     def test_delta_values(self):
         assert diagonal_bisequence(P((3, 2, 1))).delta().lengths == (5, 1)
 
+    @pytest.mark.parametrize("d", [Bisequence(), Bisequence((2, 0), (2, 0)), Bisequence((2, 1), (5, 4)),
+                                   diagonal_bisequence(from_delta_lengths(CORE_DELTA))])
+    def test_len_is_the_size(self, d):
+        assert len(d) == d.size
+
 
 class TestQuotientOf:
     def test_staircase(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diaghooks import abacus, cli, errors, formula, verify
+from diaghooks import abacus, bisequence, cli, errors, formula, partitions, verify
 from diaghooks.cli import build_parser, main, parse_int_list, parse_partition
 from diaghooks.errors import BadPartitionSyntax, NonMonotonic, NonPositivePart
 from diaghooks.abacus import from_core_and_quotient
@@ -260,6 +260,36 @@ class TestCheckCoreCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["is_core"] is False and data["agree"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["check-core", "3,2,1", "--p", "3"],
+        ["check-core", CORE_DELTA_TEXT, "--from-delta", "--p", "5", "--json"],
+        ["check-core", "2015,1001,21", "--from-delta", "--p", "997"],
+    ])
+    def test_walks_the_partition_once(self, argv, count_calls, capsys):
+        # the arms the symmetry check returns give the residue test its bisequence
+        walks = [count_calls(owner, "_frobenius") for owner in (partitions, bisequence, formula)]
+        assert main(argv) == 0
+        assert "DISAGREE" not in capsys.readouterr().out
+        assert sum(map(len, walks)) == 1
+
+    def test_symmetric_large_p_core_from_delta(self, capsys):
+        # arms 10, 10 + 997 and 500: one bead on each of runners 10 and 500 past the full rows
+        assert main(["check-core", "2015,1001,21", "--from-delta", "--p", "997", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["agree"] is True and data["is_core"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-core", "", "--p", "3"],
+    ["check-core", " ", "--p", "3", "--json"],
+    ["delta", "--core", "", "--quotient", "", "--quotient", "", "--quotient", "", "--p", "3"],
+    ["delta", "--core", " ", "--quotient", "1", "--quotient", "", "--quotient", "1", "--p", "3", "--json"],
+])
+def test_blank_from_delta_text_is_the_empty_partition(argv):
+    code, out, err = outcome(main, argv)
+    assert (code, err) == (0, "")
+    assert outcome(main, [*argv, "--from-delta"]) == (code, out, err)
+
 
 class TestRenderCommand:
     def test_staircase(self, capsys):
@@ -321,6 +351,17 @@ class TestVerifyCommand:
         assert main(["verify", "--n-max", "120", "--primes", "3,5,7"]) == 0
         assert main(["verify", "--n-max", "20", "--primes", "997"]) == 0
         assert calls == [(120, [3, 5, 7]), (20, [997])]
+
+    def test_parses_primes_once(self, count_calls, capsys):
+        parses = count_calls(cli, "parse_int_list")
+        assert main(["verify", "--n-max", "6", "--primes", "3,5", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["cells"] == 2 * 6  # six self-conjugate partitions of n <= 6
+        assert [args[0] for args in parses] == ["3,5"]
+
+    @pytest.mark.parametrize("primes", ["", " "])
+    def test_blank_primes_exit_2(self, primes, capsys):
+        assert main(["verify", "--primes", primes]) == 2
+        assert capsys.readouterr() == ("", "error: BadPartitionSyntax: bad integer '' at position 0\n")
 
 
 

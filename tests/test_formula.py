@@ -15,7 +15,7 @@ from diaghooks.errors import (
     NotSymmetricQuotient,
     WrongQuotientLength,
 )
-from diaghooks import formula
+from diaghooks import bisequence, formula, partitions
 from diaghooks.formula import (
     core_counts,
     d0_shift,
@@ -86,6 +86,12 @@ class TestConcentratedCenter:
             delta_concentrated_center(P((1,)), 4)
         with pytest.raises(NotSymmetric):
             delta_concentrated_center(P((2,)), 5)
+
+    def test_walks_the_component_once(self, count_calls):
+        # the arms the symmetry check returns are the centre's legs and arms both
+        walks = [count_calls(owner, "_frobenius") for owner in (partitions, bisequence, formula)]
+        assert delta_concentrated_center(from_delta_lengths(CORE_DELTA), 5).lengths == tuple(5 * d for d in CORE_DELTA)
+        assert sum(map(len, walks)) == 1
 
     def test_matches_diagram_reading(self):
         for comp in symmetric_up_to(8):

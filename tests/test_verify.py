@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import symmetric_up_to
 from diaghooks import abacus, formula, verify
-from diaghooks.bisequence import is_symmetric_p_core
+from diaghooks.bisequence import diagonal_bisequence, is_symmetric_p_core
 from diaghooks.errors import BadModulus, NonPositivePart
-from diaghooks.partitions import DeltaSet, Partition
+from diaghooks.partitions import DeltaSet, Partition, delta_of, from_delta_lengths
 from diaghooks.verify import run_verify
 
 
@@ -49,6 +51,22 @@ def test_each_cell_checks_its_core_twice(count_calls):
     assert report.ok
     # the formula's guard and the direct core-criterion test; the rebuild repeats neither
     assert sum(map(len, core_checks)) == 2 * report.cells
+
+
+# distinct odd diagonal hook lengths of weight up to 40,000, each set a sum of 2k + 1 over distinct k
+LARGE_DELTAS = st.one_of(
+    st.sets(st.integers(0, 199), max_size=8).map(lambda gone: {k for k in range(200) if k not in gone}),  # near 200^2
+    st.sets(st.integers(0, 499), max_size=40),  # many mid-sized hooks: 40 * 999 < 40,000
+    st.sets(st.integers(0, 3332), max_size=6),  # a few long arms: 6 * 6665 < 40,000
+).map(lambda ks: sorted((2 * k + 1 for k in ks), reverse=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(LARGE_DELTAS, st.sampled_from([*range(2, 17), 97, 101, 499, 997]))
+def test_random_large_weight_cells_pass_every_check(lengths, p):
+    la = from_delta_lengths(lengths)
+    assert la.weight == sum(lengths) <= 40_000
+    assert verify._cell_problems(la, p, delta_of(la), diagonal_bisequence(la)) == []
 
 
 
