@@ -200,5 +200,4 @@ def is_symmetric_beta(x: BetaSet) -> bool:
     Positions below 0 count as beads, so the reflection swaps them exactly
     when it maps the beads right of the axis onto the spaces left of it.
     """
-    (plus, minus), ax = plus_minus(x), axis_of(x)
-    return tuple(ax.two_theta - b for b in plus) == minus
+    return bisequence_of(x).is_symmetric

@@ -249,6 +249,16 @@ def _distinct_odd_parts(n: int, largest: int) -> Iterator[tuple[int, ...]]:
             yield (d,) + rest
 
 
+def _descending_parts(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    # Partitions of n into parts <= largest, descending lexicographically: the first part runs down from the largest.
+    if n == 0:
+        yield ()
+        return
+    for d in range(min(largest, n), 0, -1):
+        for rest in _descending_parts(n - d, d):
+            yield (d,) + rest
+
+
 def enumerate_partitions(n: int, symmetric_only: bool = False) -> Iterator[Partition]:
     """All partitions of n, in reverse lexicographic order, each exactly once.
 
@@ -262,18 +272,4 @@ def enumerate_partitions(n: int, symmetric_only: bool = False) -> Iterator[Parti
     if symmetric_only:
         yield from map(from_delta_lengths, _distinct_odd_parts(size, size))
         return
-    parts = [size] if size else []
-    while True:
-        yield Partition(tuple(parts))
-        k = len(parts) - 1
-        while k >= 0 and parts[k] == 1:
-            k -= 1
-        if k < 0:
-            return
-        new_val = parts[k] - 1
-        remaining = parts[k] + (len(parts) - k - 1) - new_val
-        parts = parts[: k] + [new_val]
-        while remaining > 0:
-            take = min(new_val, remaining)
-            parts.append(take)
-            remaining -= take
+    yield from map(Partition, _descending_parts(size, size))

@@ -1,4 +1,5 @@
 import enum
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -285,6 +286,17 @@ class TestEnumeration:
         for n in range(31):
             direct = list(enumerate_partitions(n, symmetric_only=True))
             assert direct == [la for la in enumerate_partitions(n) if la.is_symmetric]
+
+    def test_reverse_lexicographic_order_up_to_twenty(self):
+        for n in range(21):
+            got = [la.parts for la in enumerate_partitions(n)]
+            assert len(set(got)) == len(got)
+            assert got == sorted(got, reverse=True)
+
+    def test_first_partitions_of_a_large_weight_come_at_once(self):
+        # the recursion nests one generator per part, so the first yields at large n stay shallow
+        got = list(itertools.islice(enumerate_partitions(5000), 3))
+        assert [la.parts for la in got] == [(5000,), (4999, 1), (4998, 2)]
 
     def test_symmetric_counts_and_weights_up_to_sixty(self):
         for n in range(61):
