@@ -21,6 +21,7 @@ from .errors import (
     WrongQuotientLength,
     _ints,
     require_modulus,
+    require_residue,
 )
 from .partitions import _EMPTY, Partition, _columns, _rows, _self_conjugate_arms
 
@@ -34,12 +35,14 @@ class Abacus:
 
     def __post_init__(self):
         object.__setattr__(self, "p", require_modulus(self.p))
+        if not isinstance(self.beads, BetaSet):  # a given BetaSet is kept, so to_abacus builds one bead set
+            object.__setattr__(self, "beads", BetaSet(self.beads))
         if len(self.beads) % self.p != 0:
             raise BadModulus(f"bead count {len(self.beads)} is not a multiple of {self.p}")
 
     def runner(self, g: int) -> BetaSet:
-        """Row indices of the beads on runner g, itself a bead set."""
-        return self.runners[g]
+        """Row indices of the beads on runner g, a residue 0..p-1, itself a bead set."""
+        return self.runners[require_residue(g, self.p)]
 
     @functools.cached_property
     def runners(self) -> tuple[BetaSet, ...]:

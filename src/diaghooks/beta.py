@@ -162,15 +162,13 @@ def remove_hook(x: BetaSet, hook: BetaHook) -> BetaSet:
 
 
 def axis_of(x: BetaSet) -> Axis:
-    """The unique half-integer with as many beads to its right as spaces to its left.
+    """The unique half-integer with as many beads to its right as spaces to its left: k - 1/2 for k beads.
 
-    Walk right from just left of the first space: each unit step either adds a
-    space on the left or removes a bead on the right, so the surplus of beads
-    over spaces drops by exactly one per step until it reaches zero.
+    Take beads b_1 > ... > b_k. Then b_i >= k exactly when the part b_i - (k - i) is at least i, which holds for the
+    d rows of the Durfee square, so d beads sit right of k - 1/2. The other k - d beads lie below k, so d spaces sit
+    left of it. The surplus of right beads over left spaces drops by one per unit step, so no other axis balances.
     """
-    s = x.first_space
-    surplus = sum(1 for b in x.beads if b > s)
-    return Axis(two_theta=2 * (s + surplus) - 1)
+    return Axis(two_theta=2 * len(x.beads) - 1)
 
 
 def plus_minus(x: BetaSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -186,12 +184,10 @@ def plus_minus(x: BetaSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def bisequence_of(x: BetaSet) -> Bisequence:
-    """Diagonal legs and arms read off the bead string around its axis."""
-    ax = axis_of(x)
+    """Diagonal legs k - 1 - y per space y < k and arms b - k per bead b >= k: read at the axis k - 1/2 of k beads."""
+    k = len(x.beads)
     plus, minus = plus_minus(x)
-    legs = tuple(ax.last_left - y for y in minus)
-    arms = tuple(b - ax.last_left - 1 for b in plus)
-    return Bisequence(legs, arms)
+    return Bisequence(tuple(k - 1 - y for y in minus), tuple(b - k for b in plus))
 
 
 def is_symmetric_beta(x: BetaSet) -> bool:

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import partitions, partitions_up_to, symmetric_up_to
+from conftest import Index, partitions, partitions_up_to, symmetric_up_to
 from diaghooks import abacus
 from diaghooks.abacus import (
+    Abacus,
     HookSide,
     classify_p_hook,
     core_and_quotient,
@@ -21,6 +22,8 @@ from diaghooks.abacus import (
 from diaghooks.beta import BetaHook, BetaSet, axis_of, beta_of, partition_of, young_hook
 from diaghooks.errors import (
     BadModulus,
+    BadResidue,
+    InvalidBetaSet,
     NonEmptyCore,
     NotACore,
     NotAPHook,
@@ -62,6 +65,25 @@ class TestLayout:
             p_core(P((3,)), p)
         with pytest.raises(BadModulus):
             from_core_and_quotient(P(()), [P(())] * 3, p)
+
+    @pytest.mark.parametrize("g", [-1, 2, 2.5, True])
+    def test_runner_index_must_be_a_residue(self, g):
+        with pytest.raises(BadResidue):
+            to_abacus(P((3, 1)), 2).runner(g)
+
+    def test_index_only_runner_is_read_as_an_int(self):
+        ab = to_abacus(P((3, 1)), 2)
+        assert ab.runner(Index(1)) == ab.runners[1] == BetaSet((0,))
+
+    @pytest.mark.parametrize("beads", [(1, 1), (-1, 0), (0, 2.5)])
+    def test_beads_must_be_a_bead_set(self, beads):
+        with pytest.raises(InvalidBetaSet):
+            Abacus(2, beads)
+
+    def test_given_beads_become_a_bead_set(self):
+        x = BetaSet((0, 3))
+        assert Abacus(2, [3, 0]).beads == x
+        assert Abacus(2, x).beads is x
 
 
 class TestCore:

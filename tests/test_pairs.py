@@ -1,10 +1,17 @@
 """The bijection from the pair side: every (symmetric p-core, symmetric p-quotient) pair, generated directly."""
 
-import pytest
+import operator
+from math import isqrt
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diaghooks import verify
 from diaghooks.abacus import core_and_quotient, from_core_and_quotient
+from diaghooks.bisequence import diagonal_bisequence
 from diaghooks.formula import delta_general
-from diaghooks.partitions import delta_of, enumerate_partitions, from_frobenius
+from diaghooks.partitions import Partition, delta_of, enumerate_partitions, from_frobenius
 
 
 def _symmetric_core_arms(p: int, budget: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -91,3 +98,63 @@ def test_core_and_quotient_factors_count_the_self_conjugate_partitions(p):
         for total in range(top, part - 1, -1):
             distinct_odd[total] += distinct_odd[total - part]
     assert series == distinct_odd
+
+
+def _composition(draw, m: int, most: int) -> tuple[int, ...]:
+    """The parts, largest first, of a random composition of m >= 0 into at most `most` parts: a partition of m."""
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=most - 1))) if m > 1 else []
+    return tuple(sorted(map(operator.sub, cuts + [m], [0] + cuts), reverse=True)) if m else ()
+
+
+def _component(draw, m: int) -> Partition:
+    """A partition of about m cells: the c x c square, c = isqrt(m), less up to 3 of its diagonal arms and of its
+    legs; or, a third of the time, a thin one of min(m, 400) cells in at most 6 rows."""
+    c = isqrt(m)
+    if c == 0 or draw(st.integers(0, 2)) == 2:
+        return Partition(_composition(draw, min(m, 400), 6))
+    gone = [draw(st.sets(st.integers(0, c - 1), max_size=3)) for _ in range(2)]
+    arms, legs = ([v for v in range(c - 1, -1, -1) if v not in g] for g in gone)
+    d = min(len(arms), len(legs))
+    return from_frobenius(legs[:d], arms[:d])
+
+
+@st.composite
+def large_symmetric_pairs(draw):
+    """(core, quotient, p): a random symmetric p-core and symmetric p-quotient of total weight about a drawn target.
+
+    The core has d >= 1 arms g, g+p, ... on one residue g of up to 3 runner pairs, each within a third of the
+    target; the quotient has a self-conjugate centre for odd p, and up to 3 free components, their conjugates on
+    the mirror runners, sharing what is left of the target.
+    """
+    p = draw(st.sampled_from([*range(2, 17), 97, 101, 499, 997]))
+    target = draw(st.one_of(st.integers(36_000, 44_000), st.integers(0, 110_000)))  # half near weight 40,000
+    arms = []
+    for r in draw(st.sets(st.integers(0, p // 2 - 1), max_size=3)):
+        g = draw(st.sampled_from((r, p - 1 - r)))
+        # the largest d with d(2g+1) + p*d(d-1) <= target / 3, but at least 1
+        top = max(1, (isqrt((2 * g + 1 - p) ** 2 + 4 * p * (target // 3)) - (2 * g + 1 - p)) // (2 * p))
+        arms += range(g, g + draw(st.integers(1, top)) * p, p)
+    arms.sort(reverse=True)
+    core = from_frobenius(arms, arms)
+    cells = max(0, target - core.weight) // p  # the quotient's cells, mirrors and centre included
+    quotient = [Partition(())] * p
+    if p % 2:
+        centre = sorted(draw(st.sets(st.integers(0, cells // 8), max_size=4)), reverse=True)  # weight <= cells + 4
+        quotient[p // 2] = from_frobenius(centre, centre)
+        cells = max(0, cells - quotient[p // 2].weight)
+    free = draw(st.sets(st.integers(0, p // 2 - 1), min_size=1, max_size=3))
+    for r, m in zip(sorted(free), _composition(draw, cells // 2, len(free)) + (0,) * len(free)):
+        quotient[r] = _component(draw, m)
+        quotient[p - 1 - r] = quotient[r].conjugate()
+    return core, tuple(quotient), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(large_symmetric_pairs())
+def test_random_large_weight_pairs_rebuild_and_pass_every_check(pair):
+    core, quotient, p = pair
+    la = from_core_and_quotient(core, quotient, p)
+    oracle = delta_of(la)
+    assert core_and_quotient(la, p) == (core, quotient)
+    assert delta_general(core, quotient, p) == oracle
+    assert verify._cell_problems(la, p, oracle, diagonal_bisequence(la)) == []
