@@ -23,7 +23,10 @@ class BetaSet:
     beads: tuple[int, ...] = ()
 
     def __post_init__(self):
-        given = tuple(self.beads)
+        try:
+            given = tuple(self.beads)
+        except TypeError:  # not iterable, such as 5 or None
+            raise InvalidBetaSet(f"bead positions must be an iterable of integers, got {self.beads!r}") from None
         beads = tuple(sorted(_ints(given)))
         object.__setattr__(self, "beads", beads)
         if beads and beads[0] < 0:

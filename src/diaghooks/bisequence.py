@@ -106,7 +106,7 @@ class QuotientBisequence:
         return len(self.entries)
 
     def __getitem__(self, g: int) -> QuotientEntry:
-        return self.entries[g]
+        return self.entries[require_residue(g, self.p)]
 
     def __iter__(self) -> Iterator[QuotientEntry]:
         return iter(self.entries)

@@ -1,13 +1,10 @@
 """Diagonal hook lengths of a self-conjugate partition from its core and quotient.
 
-Nothing here ever touches the Young diagram of the full partition. The
-diagonal data is assembled one runner pair {r, p-1-r} at a time: the quotient
-component on one runner of the pair is read once, shifted by the core's
-diagonal count d0 on that runner when it is non-zero, and its arms and legs
-become arm values at the two residues of the pair. The paper's empty-core,
-concentrated-pair and centre-runner results are restrictions of that one
-loop. The brute-force reading in `partitions.diagonal_hooks` exists precisely
-so the test suite can confirm this module by exhaustive enumeration.
+Nothing here touches the Young diagram of the full partition. One loop over the runner pairs {g, p-1-g}
+reads the Frobenius legs and arms of the quotient component on one runner of each pair, shifts them by the
+core's diagonal count d0 on that runner when it is non-zero (`_shift`) and writes their hook lengths
+(`_pair_lengths`). The paper's empty-core, concentrated-pair and centre-runner results are restrictions of
+that loop; the tests confirm it against the diagram reading `partitions.diagonal_hooks`.
 """
 
 from dataclasses import dataclass
@@ -54,11 +51,15 @@ class CoreCounts:
 
 def core_counts(core: Partition, p: int) -> CoreCounts:
     """Residue bookkeeping for a symmetric p-core."""
-    p = require_modulus(p)
+    return CoreCounts(_core_d0(core, require_modulus(p)))
+
+
+def _core_d0(core: Partition, p: int) -> tuple[int, ...]:
+    """d0 as plain counts, for a checked modulus p; raises unless the core is a symmetric p-core."""
     arms = _self_conjugate_arms(core)
     if not is_p_core(core, p):
         raise NotACore(f"{core} has a hook of length {p}")
-    return CoreCounts(tuple(map(len, _rows(arms, p))))
+    return tuple(map(len, _rows(arms, p)))
 
 
 def shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -66,26 +67,18 @@ def shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int
 
     The legs must strictly decrease and be >= 0. Always len(S) + len(legs-in-[0,d0)) == d0, S disjoint from T.
     """
-    return _shift_sets(_check_descending(legs, "legs"), d0)[:2]
-
-
-def _shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """S, T and the plain int d0 they were read with."""
-    n = _as_int(d0)
-    if n < 1:
-        raise InternalInconsistency(f"shift amount must be >= 1, got {d0!r}")
-    present = set(legs)
-    s_set = tuple(s for s in range(n - 1, -1, -1) if s not in present)
-    t_set = tuple(t for t in legs if t >= n)
-    return s_set, t_set, n
+    legs = _check_descending(legs, "legs")
+    moved = d0_shift(QuotientEntry(legs), d0)  # no arms in, so the arms out are the d0-s-1 of the gaps s
+    n = len(moved.arms) + len(legs) - len(moved.legs)  # d0, by the identity above
+    return tuple(n - 1 - a for a in reversed(moved.arms)), legs[: len(moved.legs)]  # T leads the descending legs
 
 
 def _shift(legs: Sequence[int], arms: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Checked descending legs and arms in (a QuotientEntry's or a Partition's), descending out: the moved
-    # arms are all >= d0, the new arms d0-s-1 all < d0, and ascending gaps s give descending d0-s-1.
-    s_set, t_set, d0 = _shift_sets(legs, d0)
-    arms = tuple(a + d0 for a in arms) + tuple(d0 - s - 1 for s in reversed(s_set))
-    return tuple(t - d0 for t in t_set), arms
+    # Trusted: descending legs and arms (a QuotientEntry's or a Partition's) and a plain int d0 >= 1. Descending
+    # out: the moved arms are all >= d0, the new arms d0-s-1 all < d0, and ascending gaps s give descending d0-s-1.
+    present = set(legs)
+    gaps = [d0 - 1 - s for s in range(d0) if s not in present]
+    return tuple([t - d0 for t in legs if t >= d0]), tuple([a + d0 for a in arms] + gaps)
 
 
 def d0_shift(entry: QuotientEntry, d0: int) -> QuotientEntry:
@@ -95,28 +88,32 @@ def d0_shift(entry: QuotientEntry, d0: int) -> QuotientEntry:
     d0-s-1; legs at least d0 drop by d0 and stay legs; legs below d0 are
     absorbed. A balanced entry comes out with exactly d0 more arms than legs.
     """
-    return QuotientEntry(*_shift(entry.legs, entry.arms, d0))
+    n = _as_int(d0)
+    if n < 1:
+        raise InternalInconsistency(f"shift amount must be >= 1, got {d0!r}")
+    return QuotientEntry(*_shift(entry.legs, entry.arms, n))
 
 
-def _pair_arm_values(legs: Sequence[int], arms: Sequence[int], r: int, p: int, d0: int) -> list[int]:
-    """Arm values of the runner pair {r, p-1-r}, from the Frobenius legs and arms of the component on runner r.
+def _pair_lengths(legs: Sequence[int], arms: Sequence[int], g: int, p: int, d0: int) -> list[int]:
+    """Hook lengths of the runner pair {g, p-1-g}, from the Frobenius legs and arms of the component on runner g.
 
-    The component's diagonal data is shifted by d0 when d0 > 0. Its arms then
-    become arm values at residue r and its legs, which are the mirror
-    component's arms, become arm values at p-1-r. On the centre runner of odd
-    p the two residues coincide and only the arms count.
+    Shifted by d0 when d0 > 0, an arm m is the arm value g + m*p, of length 2p*m + 2g + 1, and a leg m the
+    mirror component's arm value (p-1-g) + m*p, of length 2p*(m+1) - (2g+1).
     """
     if d0:
         legs, arms = _shift(legs, arms, d0)
-    values = [r + m * p for m in arms]
-    if 2 * r != p - 1:
-        values += [(p - 1 - r) + m * p for m in legs]
-    return values
+    step, c, lengths = 2 * p, 2 * g + 1, []
+    for m in arms:  # plain loops: on a pair's few values they beat comprehensions on Python 3.11
+        lengths.append(step * m + c)
+    for m in legs if c != p else ():  # the centre runner of odd p is its own mirror: only its arms count
+        lengths.append(step * m + step - c)
+    return lengths
 
 
-def _delta(arm_values: list[int]) -> DeltaSet:
-    """The lengths 2*b + 1 of distinct arm values b, largest first."""
-    return DeltaSet(tuple(sorted((2 * b + 1 for b in arm_values), reverse=True)))
+def _delta(lengths: list[int]) -> DeltaSet:
+    """The lengths, distinct as each runner pair writes only its own two residues, sorted in place, largest first."""
+    lengths.sort(reverse=True)
+    return DeltaSet(tuple(lengths))
 
 
 def delta_concentrated_pair(component: Partition, g: int, p: int) -> DeltaSet:
@@ -131,7 +128,7 @@ def delta_concentrated_pair(component: Partition, g: int, p: int) -> DeltaSet:
     g = require_residue(g, p)
     if 2 * g == p - 1:
         raise CenterResidue(f"residue {g} is self-dual for p={p}; use delta_concentrated_center")
-    return _delta(_pair_arm_values(*_frobenius(component), g, p, 0))
+    return _delta(_pair_lengths(*_frobenius(component), g, p, 0))
 
 
 def delta_concentrated_center(component: Partition, p: int) -> DeltaSet:
@@ -145,7 +142,7 @@ def delta_concentrated_center(component: Partition, p: int) -> DeltaSet:
     if p % 2 == 0:
         raise EvenModulus(f"p={p} has no centre runner")
     arms = _self_conjugate_arms(component)
-    return _delta(_pair_arm_values(arms, arms, (p - 1) // 2, p, 0))
+    return _delta(_pair_lengths(arms, arms, (p - 1) // 2, p, 0))
 
 
 def delta_empty_core(quotient: Sequence[Partition], p: int) -> DeltaSet:
@@ -168,10 +165,10 @@ def delta_general(core: Partition, quotient: Sequence[Partition], p: int) -> Del
     quotient = tuple(quotient)
     if not is_symmetric_quotient(quotient, p):
         raise NotSymmetricQuotient("component g must equal conjugate of component p-1-g")
-    d0 = core_counts(core, p).d0
-    arm_values: list[int] = []
+    d0 = _core_d0(core, p)
+    lengths: list[int] = []
     for r in range((p + 1) // 2):
         g = p - 1 - r if d0[p - 1 - r] else r
-        if d0[g] or quotient[g].parts:  # a pair with no core arms and empty components adds nothing
-            arm_values += _pair_arm_values(*_frobenius(quotient[g]), g, p, d0[g])
-    return _delta(arm_values)
+        if quotient[g].parts or d0[g]:  # an empty component is not walked: its Frobenius data is ((), ())
+            lengths += _pair_lengths(*(_frobenius(quotient[g]) if quotient[g].parts else ((), ())), g, p, d0[g])
+    return _delta(lengths)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bead_sets, partitions, partitions_up_to, symmetric_up_to
+from diaghooks.abacus import Abacus
 from diaghooks.beta import (
     Axis,
     BetaHook,
@@ -229,6 +230,15 @@ class TestIntegerRule:
         with pytest.raises(InvalidBetaSet) as info:
             BetaSet((1,)).shifted(steps)
         assert str(info.value) == f"shift must be an integer >= 0, got {steps!r}"
+
+    @pytest.mark.parametrize("beads", [5, None, 2.5])
+    def test_bead_set_that_is_not_iterable_is_refused(self, beads):
+        with pytest.raises(InvalidBetaSet) as info:
+            BetaSet(beads)
+        assert str(info.value) == f"bead positions must be an iterable of integers, got {beads!r}"
+        with pytest.raises(InvalidBetaSet) as info:
+            Abacus(2, beads)
+        assert str(info.value) == f"bead positions must be an iterable of integers, got {beads!r}"
 
     def test_index_only_shift_is_read_as_int(self):
         class Two:

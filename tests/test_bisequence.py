@@ -86,6 +86,21 @@ class TestQuotientOf:
         q = quotient_of(Bisequence((), ()), 3)
         assert all(e.is_empty for e in q)
 
+    @pytest.mark.parametrize("g", [-1, 3, 2.5, True, "1"])
+    def test_index_must_be_a_residue(self, g):
+        q = quotient_of(Bisequence((2, 0), (2, 0)), 3)
+        with pytest.raises(BadResidue) as info:
+            q[g]
+        assert str(info.value) == f"residue {g!r} not in 0..2"
+
+    def test_index_only_residue_is_read_as_int(self):
+        class One:
+            __index__ = lambda self: 1
+
+        d = Bisequence((25, 20, 14, 11, 9, 7, 3, 2), (25, 20, 14, 11, 9, 7, 3, 2))
+        q = quotient_of(d, 5)
+        assert q[One()] == q[1] == QuotientEntry((0,), (2,))
+
     def test_bad_modulus(self):
         with pytest.raises(BadModulus):
             quotient_of(Bisequence((), ()), 1)

@@ -1,8 +1,9 @@
 """The builtin passes against the per-element loops they replaced, kept here as references.
 
 Each reference is the loop as it read before parsing, validation and the bead
-encodings moved into `map`, `filter`, `min` and `str` methods, or before the
-rebuild moved only the beads of non-empty components; a result must be the
+encodings moved into `map`, `filter`, `min` and `str` methods, before the
+rebuild moved only the beads of non-empty components, or before the formula's
+pair loop wrote hook lengths through a trusted shift; a result must be the
 same value, and a refusal the same exception type and message.
 """
 
@@ -23,9 +24,33 @@ from diaghooks.abacus import (
     to_abacus,
 )
 from diaghooks.beta import BetaSet, _beads, _parts, beta_of, partition_of
+from diaghooks.bisequence import QuotientEntry
 from diaghooks.cli import parse_partition
-from diaghooks.errors import BadPartitionSyntax, NonMonotonic, NonPositivePart, _ints
-from diaghooks.partitions import _EMPTY, Partition, _columns, _rows, from_delta_lengths
+from diaghooks.errors import (
+    BadPartitionSyntax,
+    CenterResidue,
+    EvenModulus,
+    InternalInconsistency,
+    NonMonotonic,
+    NonPositivePart,
+    NotACore,
+    NotSymmetricQuotient,
+    _as_int,
+    _ints,
+    require_modulus,
+    require_residue,
+)
+from diaghooks.formula import d0_shift, delta_concentrated_center, delta_concentrated_pair, delta_general, shift_sets
+from diaghooks.partitions import (
+    _EMPTY,
+    DeltaSet,
+    Partition,
+    _columns,
+    _frobenius,
+    _rows,
+    _self_conjugate_arms,
+    from_delta_lengths,
+)
 
 
 def outcome(call, *args):
@@ -215,3 +240,153 @@ def test_rebuild_matches_the_runner_walk_at_large_p(p, long_runner):
     assert la == reference_rebuild(core, quotient, p)
     assert core_and_quotient(la, p) == (core, quotient)
     assert la.weight == core.weight + p * sum(q.weight for q in quotient)
+
+
+def reference_shift(legs, arms, d0):
+    n = _as_int(d0)
+    if n < 1:
+        raise InternalInconsistency(f"shift amount must be >= 1, got {d0!r}")
+    present = set(legs)
+    s_set = tuple(s for s in range(n - 1, -1, -1) if s not in present)
+    t_set = tuple(t for t in legs if t >= n)
+    return tuple(t - n for t in t_set), tuple(a + n for a in arms) + tuple(n - s - 1 for s in reversed(s_set))
+
+
+def reference_pair_arm_values(legs, arms, r: int, p: int, d0: int) -> list[int]:
+    if d0:
+        legs, arms = reference_shift(legs, arms, d0)
+    values = [r + m * p for m in arms]
+    if 2 * r != p - 1:
+        values += [(p - 1 - r) + m * p for m in legs]
+    return values
+
+
+def reference_delta(arm_values: list[int]) -> DeltaSet:
+    return DeltaSet(tuple(sorted((2 * b + 1 for b in arm_values), reverse=True)))
+
+
+def reference_delta_general(core: Partition, quotient, p) -> DeltaSet:
+    p = require_modulus(p)
+    quotient = tuple(quotient)
+    if not is_symmetric_quotient(quotient, p):
+        raise NotSymmetricQuotient("component g must equal conjugate of component p-1-g")
+    arms = _self_conjugate_arms(core)
+    if not is_p_core(core, p):
+        raise NotACore(f"{core} has a hook of length {p}")
+    d0 = tuple(map(len, _rows(arms, p)))
+    arm_values: list[int] = []
+    for r in range((p + 1) // 2):
+        g = p - 1 - r if d0[p - 1 - r] else r
+        if d0[g] or quotient[g].parts:
+            arm_values += reference_pair_arm_values(*_frobenius(quotient[g]), g, p, d0[g])
+    return reference_delta(arm_values)
+
+
+def reference_concentrated_pair(component: Partition, g, p) -> DeltaSet:
+    p = require_modulus(p)
+    g = require_residue(g, p)
+    if 2 * g == p - 1:
+        raise CenterResidue(f"residue {g} is self-dual for p={p}; use delta_concentrated_center")
+    return reference_delta(reference_pair_arm_values(*_frobenius(component), g, p, 0))
+
+
+def reference_concentrated_center(component: Partition, p) -> DeltaSet:
+    p = require_modulus(p)
+    if p % 2 == 0:
+        raise EvenModulus(f"p={p} has no centre runner")
+    arms = _self_conjugate_arms(component)
+    return reference_delta(reference_pair_arm_values(arms, arms, (p - 1) // 2, p, 0))
+
+
+SMALL_COMPONENT = partitions(max_part=4, max_rows=4)
+SELF_CONJUGATE = st.sets(st.integers(0, 3), max_size=3).map(
+    lambda ks: from_delta_lengths(sorted((2 * k + 1 for k in ks), reverse=True))
+)
+
+
+@st.composite
+def symmetric_pairs(draw) -> tuple[int, Partition, tuple[Partition, ...]]:
+    """p in 2..16, 97 or 997, a symmetric p-core and a symmetric p-quotient.
+
+    The core's diagonal arms fill rows 0..d-1 of one residue class per chosen runner pair and leave its mirror
+    and the centre runner empty. In half the draws the quotient also fills the core's pairs, so that shifted
+    components are non-empty at large p too.
+    """
+    p = draw(st.sampled_from([*range(2, 17), 97, 997]))
+    pair = st.one_of(st.integers(0, min(3, p // 2 - 1)), st.integers(0, p // 2 - 1))  # r < p-1-r
+    core_pairs = draw(st.lists(st.tuples(pair, st.booleans(), st.integers(1, 3)), max_size=3, unique_by=lambda t: t[0]))
+    arms = [(p - 1 - r if mirrored else r) + m * p for r, mirrored, rows in core_pairs for m in range(rows)]
+    core = from_delta_lengths(sorted((2 * a + 1 for a in arms), reverse=True))
+    filled = set(draw(st.lists(pair, max_size=3)))
+    if draw(st.booleans()):
+        filled.update(r for r, _, _ in core_pairs)
+    quotient = [_EMPTY] * p
+    for r in sorted(filled):
+        quotient[r] = draw(SMALL_COMPONENT)
+        quotient[p - 1 - r] = quotient[r].conjugate()
+    if p % 2:
+        quotient[(p - 1) // 2] = draw(SELF_CONJUGATE)
+    return p, core, tuple(quotient)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_pairs(), st.data())
+def test_pair_loop_matches_the_arm_value_loop(pair, data):
+    p, core, quotient = pair
+    assert is_p_core(core, p) and is_symmetric_quotient(quotient, p)
+    got = delta_general(core, quotient, p)
+    assert ("value", got) == outcome(reference_delta_general, core, quotient, p)
+    assert got.total == core.weight + p * sum(c.weight for c in quotient)
+    g = data.draw(st.integers(0, p - 1))  # the centre residue of odd p is refused by both
+    component = quotient[g]
+    assert outcome(delta_concentrated_pair, component, g, p) == outcome(reference_concentrated_pair, component, g, p)
+    centre = quotient[(p - 1) // 2]
+    assert outcome(delta_concentrated_center, centre, p) == outcome(reference_concentrated_center, centre, p)
+
+
+BREAKS = ("length", "quotient", "self-conjugate", "p-core")  # the order in which delta_general checks the rules
+
+
+@pytest.mark.parametrize("breaks", [
+    {rule for k, rule in enumerate(BREAKS) if mask >> k & 1} for mask in range(1, 2 ** len(BREAKS))
+], ids=lambda breaks: "+".join(sorted(breaks)))
+@settings(max_examples=25, deadline=None)
+@given(pair=symmetric_pairs(), data=st.data())
+def test_broken_pairs_are_refused_as_by_the_arm_value_loop(breaks, pair, data):
+    # with several rules broken at once, the first in the order of BREAKS must be named
+    p, core, quotient = pair
+    quotient = list(quotient)
+    if "quotient" in breaks:  # component g made unequal to the conjugate of component p-1-g
+        g = data.draw(st.integers(0, p - 1))
+        mirror = quotient[p - 1 - g]
+        quotient[g] = data.draw(SMALL_COMPONENT.filter(lambda c: c != (c if 2 * g == p - 1 else mirror).conjugate()))
+    if "length" in breaks:
+        quotient = quotient[:-1] if data.draw(st.booleans()) else quotient + [_EMPTY]
+    if "p-core" in breaks:  # one arm on row 1 of a class whose row 0 is empty
+        core = from_delta_lengths([2 * (data.draw(st.integers(0, p - 1)) + p) + 1])
+    if "self-conjugate" in breaks:
+        core = data.draw(partitions(max_part=5, max_rows=5).filter(lambda la: la != la.conjugate()))
+    got = outcome(delta_general, core, quotient, p)
+    assert got[0] == "error" and got == outcome(reference_delta_general, core, quotient, p)
+    assert got[1].__name__ == {
+        "length": "WrongQuotientLength", "quotient": "NotSymmetricQuotient", "self-conjugate": "NotSymmetric",
+        "p-core": "NotACore",
+    }[next(rule for rule in BREAKS if rule in breaks)]
+
+
+@pytest.mark.parametrize("d0", [0, -1, 2.5, True])
+def test_shift_amount_refusals_keep_their_message(d0):
+    shown = f"shift amount must be >= 1, got {d0!r}"
+    for call in (lambda: shift_sets((1, 0), d0), lambda: d0_shift(QuotientEntry((1, 0), (2,)), d0)):
+        assert outcome(call) == ("error", InternalInconsistency, shown)
+    assert outcome(reference_shift, (1, 0), (2,), d0) == ("error", InternalInconsistency, shown)
+
+
+@given(st.sets(st.integers(0, 9), max_size=5), st.sets(st.integers(0, 9), max_size=5), st.integers(1, 6))
+def test_shift_sets_and_d0_shift_match_the_checked_shift(legs, arms, d0):
+    legs, arms = tuple(sorted(legs, reverse=True)), tuple(sorted(arms, reverse=True))
+    kept, moved = reference_shift(legs, arms, d0)
+    assert d0_shift(QuotientEntry(legs, arms), d0) == QuotientEntry(kept, moved)
+    present = set(legs)
+    assert shift_sets(legs, d0) == (tuple(s for s in range(d0 - 1, -1, -1) if s not in present),
+                                    tuple(t for t in legs if t >= d0))
