@@ -140,10 +140,9 @@ def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: in
 def _rebuild(core: Partition, quotient: Sequence[Partition], p: int) -> Partition:
     """from_core_and_quotient on a pair already checked: a p-core and p components."""
     k = _canonical_bead_count(core, p)
-    low = k - len(core.parts) - 1  # the core's layout fills 0 .. low; its row parts' beads lie above
-    tops = {b % p: b for b in reversed(_beads(core.parts, k)[: len(core.parts)])}  # ascending: a runner keeps its highest
-    # each component's runner top: a row part's bead, else the highest of 0 .. low on it (g - p, row -1, if none)
-    moved = [(tops.get(g, low - (low - g) % p), c.parts) for g, c in enumerate(quotient) if c.parts]
+    tops = {b % p: b for b in reversed(_beads(core.parts, k))}  # ascending: each runner keeps its highest bead
+    # a p-core's runners are packed, so that bead is the runner's top; g - p (row -1) where the layout leaves it empty
+    moved = [(tops.get(g, g - p), c.parts) for g, c in enumerate(quotient) if c.parts]
     # a spare full row adds one bead to every runner and encodes nothing: add as many as the runners lack
     j = max([len(parts) - top // p - 1 for top, parts in moved] + [0])
     beads = set(_beads(core.parts, k + j * p))

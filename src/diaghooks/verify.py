@@ -5,7 +5,7 @@ from typing import Iterable
 
 from .abacus import _rebuild, core_and_quotient, is_p_core
 from .bisequence import Bisequence, diagonal_bisequence, is_symmetric_p_core
-from .errors import BadModulus, NonPositivePart, _as_int, require_modulus
+from .errors import BadModulus, DiagHookError, NonPositivePart, _as_int, require_modulus
 from .formula import delta_general
 from .partitions import DeltaSet, Partition, delta_of, enumerate_partitions
 
@@ -35,7 +35,10 @@ class VerifyReport:
 def _cell_problems(la: Partition, p: int, oracle: DeltaSet, diagonal: Bisequence) -> list[tuple[str, str]]:
     problems = []
     core, quotient = core_and_quotient(la, p)
-    formula = delta_general(core, quotient, p)  # checks the pair once, so the rebuild below need not
+    try:
+        formula = delta_general(core, quotient, p)  # checks the pair once, so the rebuild below need not
+    except DiagHookError as exc:  # a pair its guards refuse: the guard names the cell's one problem
+        return [(type(exc).__name__, str(exc))]
     rebuilt = _rebuild(core, quotient, p)
     if rebuilt != la:
         problems.append(("roundtrip", f"rebuilt {rebuilt} from core {core} and quotient"))
@@ -53,8 +56,8 @@ def run_verify(n_max: int, moduli: Iterable[int]) -> VerifyReport:
 
     Per (partition, p) cell: core/quotient roundtrip, the weight identity,
     formula delta == diagram delta, and the p-core residue criterion against
-    the direct hook check. Deterministic iteration order: n ascending,
-    enumeration order, p ascending.
+    the direct hook check; a pair the formula's guard refuses is one failure,
+    named by the guard's error. Deterministic order: n ascending, enumeration order, p ascending.
     """
     n_top = _as_int(n_max)
     if n_top < 0:

@@ -1,11 +1,12 @@
-"""Shared sweep caches, hypothesis strategies, an `__index__`-only integer and a call-counting fixture."""
+"""Shared sweep caches, hypothesis strategies, an `__index__`-only integer, a call-counting fixture and two
+broken readers of the (core, quotient) pair."""
 
 from functools import lru_cache
 
 import pytest
 from hypothesis import strategies as st
 
-from diaghooks.beta import BetaSet
+from diaghooks.beta import BetaSet, _decoded
 from diaghooks.partitions import Partition, enumerate_partitions
 
 
@@ -66,3 +67,18 @@ def count_calls(monkeypatch):
         return calls
 
     return wrap
+
+
+def swapped_components(core_and_quotient):
+    """A `core_and_quotient` stand-in that swaps quotient components 0 and 1: asymmetric wherever they differ."""
+
+    def swapped(la, p):
+        core, quotient = core_and_quotient(la, p)
+        return core, (quotient[1], quotient[0], *quotient[2:])
+
+    return swapped
+
+
+def unpushed_core(rows, p):
+    """An `abacus._core_of` stand-in that pushes no bead up: the layout's own partition, a p-core only if it is one."""
+    return _decoded(sorted(g + p * r for g, row in enumerate(rows) for r in row))

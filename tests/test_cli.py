@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import swapped_components, unpushed_core
 from diaghooks import abacus, bisequence, cli, errors, formula, partitions, verify
 from diaghooks.cli import build_parser, main, parse_int_list, parse_partition
 from diaghooks.errors import BadPartitionSyntax, NonMonotonic, NonPositivePart
@@ -392,6 +393,37 @@ class TestFailureReports:
                               "detail": "residue test disagrees with direct hook check"},
         }
 
+    SWEEP_12 = ["verify", "--n-max", "12", "--primes", "3"]
+
+    @pytest.fixture
+    def components_swapped(self, monkeypatch):
+        monkeypatch.setattr(verify, "core_and_quotient", swapped_components(verify.core_and_quotient))
+
+    @pytest.fixture
+    def core_unpushed(self, monkeypatch):
+        monkeypatch.setattr(abacus, "_core_of", unpushed_core)
+
+    def test_verify_text_names_the_asymmetric_quotient(self, components_swapped, capsys):
+        assert main(self.SWEEP_12) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "checked 18 (lambda,p) cells, 12 failures",
+            "first failure: n=3 partition=(2,1) p=3 check=NotSymmetricQuotient",
+            "  component g must equal conjugate of component p-1-g",
+        ]
+
+    def test_verify_json_names_the_core_that_is_no_core(self, core_unpushed, capsys):
+        assert main([*self.SWEEP_12, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "n_max": 12, "primes": [3], "cells": 18, "failures": 14,
+            "first_failure": {"n": 3, "partition": [2, 1], "p": 3, "check": "NotACore",
+                              "detail": "(2,1) has a hook of length 3"},
+        }
+
+    def test_verify_bug_still_exits_7(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "core_and_quotient", lambda la, p: (la, (1,) * p))
+        assert main(self.SWEEP_12) == 7
+        assert capsys.readouterr() == ("", "error: internal: AttributeError: 'int' object has no attribute 'parts'\n")
+
     def test_delta_disagreement_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "delta_of", lambda la: DeltaSet((5,)))
         assert main(self.SMALL) == 1
@@ -652,3 +684,51 @@ class TestQuotientPass:
     def test_components_keep_their_order(self, spelling, capsys):
         assert main(["delta", *spelling, "--p", "3", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["quotient"] == [[2], [], [1, 1]]
+
+
+MODULI = ["2", "3", "5", "997"]
+PARTS = ["", "1", "2,1", "3,1,1", "3^2,2", "4,3^2,1", "7,5,1"]  # small, so no line builds a large abacus
+MALFORMED = ["2,,1", "x", "-1", "2.5", "1000001", "--quotient=1", "--"]
+COMMANDS = {  # each subcommand: the values of its positional argument (None if it has none), then its options,
+    # each with the values it takes (None for a switch); --p and, on `delta`, one --quotient per runner come by default
+    "core": (PARTS, {"--json": None}),
+    "quotient": (PARTS, {"--json": None}),
+    "delta": (None, {"--core": PARTS, "--from-delta": None, "--method": ["formula", "oracle", "both"], "--json": None}),
+    "check-core": (PARTS, {"--from-delta": None, "--json": None}),
+    "render": (PARTS, {}),
+    "verify": (None, {"--n-max": ["0", "3", "6", "12"], "--primes": ["3", "2,3", "3,5,7", "2,997"], "--json": None}),
+}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A `diaghooks` line: well-formed options in any order, then mostly no, else one or two malformed tokens."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    positional, options = COMMANDS[command]
+    units = [[draw(st.sampled_from(positional))]] if positional else []
+    flags = draw(st.lists(st.sampled_from(sorted(options)), max_size=3, unique=True)) if options else []
+    units += [[flag] if options[flag] is None else [flag, draw(st.sampled_from(options[flag]))] for flag in flags]
+    placed = []
+    if command != "verify":
+        p = draw(st.sampled_from(MODULI))
+        units.append(["--p", p])
+        if command == "delta":  # mostly one component per runner, at most two of them non-empty
+            components = [""] * (int(p) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+            for _ in range(draw(st.integers(0, 2))):
+                components[draw(st.integers(0, len(components) - 1))] = draw(st.sampled_from(["1", "2,1", "2"]))
+            placed = [["--quotient", c] for c in components]
+    for unit in units:  # each at a drawn place: a uniform order, with one draw per unit and not per component
+        placed.insert(draw(st.integers(0, len(placed))), unit)
+    line = [command, *(t for unit in placed for t in unit)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at, token = draw(st.integers(1, len(line))), draw(st.sampled_from(MALFORMED))
+        line[at : at + draw(st.integers(0, 1))] = [token]  # insert, or replace the token there
+    return line
+
+
+class TestCommandLineFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(command_lines())
+    def test_no_line_is_an_internal_error(self, argv):
+        code, _, err = outcome(main, argv)
+        assert code != 7, (argv, err)

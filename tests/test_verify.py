@@ -1,9 +1,12 @@
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import symmetric_up_to
+from conftest import swapped_components, symmetric_up_to, unpushed_core
 from diaghooks import abacus, formula, verify
+from diaghooks.abacus import p_quotient
 from diaghooks.bisequence import diagonal_bisequence, is_symmetric_p_core
 from diaghooks.errors import BadModulus, NonPositivePart
 from diaghooks.partitions import DeltaSet, Partition, delta_of, from_delta_lengths
@@ -121,6 +124,47 @@ def test_every_problem_on_every_cell_is_counted(broken, monkeypatch):
     assert seen == expected  # the sweep goes on past a failing cell
     assert report.cells == 12 and report.failures == sum(len(c) for *_, c in expected) and not report.ok
     assert report.first_failure == verify.Failure(*first)
+
+
+REFUSED_PAIRS = {
+    # a reader stand-in whose pair `delta_general`'s guard refuses: the route it replaces, the cells of
+    # run_verify(12, (3,)) it spoils, and the first failure, named by the guard's error
+    "swapped-components": (
+        (verify, "core_and_quotient", swapped_components(verify.core_and_quotient)),
+        lambda la: operator.ne(*p_quotient(la, 3)[:2]),
+        (3, (2, 1), 3, "NotSymmetricQuotient", "component g must equal conjugate of component p-1-g"),
+    ),
+    "unpushed-core": (
+        (abacus, "_core_of", unpushed_core),
+        lambda la: not abacus.is_p_core(la, 3),
+        (3, (2, 1), 3, "NotACore", "(2,1) has a hook of length 3"),
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", REFUSED_PAIRS)
+def test_a_refused_pair_is_its_cells_one_failure(reader, monkeypatch):
+    (owner, route, stand_in), spoilt, first = REFUSED_PAIRS[reader]
+    expected = [(la, [first[3]] if spoilt(la) else []) for la in symmetric_up_to(12)]
+    monkeypatch.setattr(owner, route, stand_in)
+    real, seen = verify._cell_problems, []
+
+    def recording(la, p, *rest):
+        problems = real(la, p, *rest)
+        seen.append((la, [check for check, _ in problems]))
+        return problems
+
+    monkeypatch.setattr(verify, "_cell_problems", recording)
+    report = run_verify(12, (3,))
+    assert seen == expected  # the sweep goes on past a refused pair, and no other check reads that pair
+    assert report.cells == len(expected) and report.failures == sum(len(c) for _, c in expected) > 0
+    assert report.first_failure == verify.Failure(*first)
+
+
+def test_an_error_no_guard_raises_still_propagates(monkeypatch):
+    monkeypatch.setattr(verify, "core_and_quotient", lambda la, p: (la, (1,) * p))  # components that are no partitions
+    with pytest.raises(AttributeError):
+        run_verify(3, (3,))
 
 
 def test_no_moduli_is_refused():
