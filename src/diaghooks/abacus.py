@@ -76,26 +76,24 @@ def _quotient_of(rows: list[list[int]]) -> tuple[Partition, ...]:
     return tuple(_decoded(r) if r and r[-1] >= len(r) else _EMPTY for r in rows)
 
 
+def core_and_quotient(la: Partition, p: int) -> tuple[Partition, tuple[Partition, ...]]:
+    """p_core and p_quotient read off one pass over the canonical layout's bead positions, with no bead set."""
+    p = require_modulus(p)
+    rows = _rows(reversed(_beads(la.parts, _canonical_bead_count(la, p))), p)  # ascending, as _quotient_of wants
+    return _core_of(rows, p), _quotient_of(rows)
+
+
 def p_core(la: Partition, p: int) -> Partition:
     """Push every bead as far up its runner as it goes; the remaining partition.
 
     The result has no hook of length p and does not depend on the bead count.
     """
-    ab = to_abacus(la, p)
-    return _core_of(_rows(ab.beads, ab.p), ab.p)
+    return core_and_quotient(la, p)[0]
 
 
 def p_quotient(la: Partition, p: int) -> tuple[Partition, ...]:
     """The p partitions read off the runners of the canonical abacus."""
-    ab = to_abacus(la, p)
-    return _quotient_of(_rows(ab.beads, ab.p))
-
-
-def core_and_quotient(la: Partition, p: int) -> tuple[Partition, tuple[Partition, ...]]:
-    """p_core and p_quotient read off one abacus layout."""
-    ab = to_abacus(la, p)
-    rows = _rows(ab.beads, ab.p)
-    return _core_of(rows, ab.p), _quotient_of(rows)
+    return core_and_quotient(la, p)[1]
 
 
 def is_p_core(la: Partition, p: int) -> bool:
@@ -179,9 +177,9 @@ def classify_p_hook(la: Partition, p: int, hook: BetaHook) -> PHookClass:
     """
     p = require_modulus(p)
     _self_conjugate_arms(la)
-    ab = to_abacus(la, p)
-    if _core_of(_rows(ab.beads, p), p):
+    if p_core(la, p):
         raise NonEmptyCore(f"{la} has a non-empty {p}-core")
+    ab = to_abacus(la, p)
     y, b = _ints((hook.y, hook.x))
     if y < 0 or b - y != p or b not in ab.beads or y in ab.beads:
         raise NotAPHook(f"({hook.y!r},{hook.x!r}] is not a length-{p} hook of the canonical layout")

@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import Index, partitions, partitions_up_to, symmetric_up_to
@@ -272,18 +272,15 @@ class TestOnePassAbacus:
             assert ab.runner(g) == BetaSet(tuple(b // p for b in ab.beads if b % p == g))
         assert core_and_quotient(la, p) == (p_core(la, p), p_quotient(la, p))
 
-    def test_one_layout_and_one_bucketing(self, monkeypatch):
-        calls = []
-        real = abacus.to_abacus
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(abacus, "to_abacus", counting)
-        assert core_and_quotient(P((4, 1, 1, 1)), 3) == (P((1,)), (P((1,)), P(()), P((1,))))
-        assert len(calls) == 1
-        ab = real(P((4, 1, 1, 1)), 3)
+    def test_one_layout_and_one_bucketing(self, count_calls):
+        layouts = count_calls(abacus, "_beads")
+        buckets = count_calls(abacus, "_rows")
+        core, quotient = P((1,)), (P((1,)), P(()), P((1,)))
+        for reader, expected in [(core_and_quotient, (core, quotient)), (p_core, core), (p_quotient, quotient)]:
+            assert reader(P((4, 1, 1, 1)), 3) == expected
+            assert (len(layouts), len(buckets)) == (1, 1), reader
+            del layouts[:], buckets[:]
+        ab = to_abacus(P((4, 1, 1, 1)), 3)
         assert ab.runners is ab.runners
 
     @pytest.mark.parametrize("core, quotient", [
@@ -362,6 +359,13 @@ class TestBeadKernel:
         assert str(info.value).endswith(f"got {bead_count!r}")
 
 
+def _smoke_997():
+    """The partition the p = 997 `delta` line of the CLI smoke test rebuilds: three non-empty components."""
+    quotient = [P(())] * 997
+    quotient[3], quotient[993], quotient[498] = P((3, 1)), P((2, 1, 1)), P((2, 1))
+    return from_core_and_quotient(from_delta_lengths([2015, 1001, 21]), quotient, 997)
+
+
 def _by_runner_bead_sets(la, p):
     """core_and_quotient read through `Abacus.runners` and `partition_of`."""
     runners = to_abacus(la, p).runners
@@ -370,8 +374,11 @@ def _by_runner_bead_sets(la, p):
 
 
 def _rebuild_by_runner_bead_sets(core, quotient, p):
-    """from_core_and_quotient on a core layout with enough beads on every runner, through bead sets."""
-    k = p * (len(core.parts) + max(len(q.parts) for q in quotient) + 1)
+    """from_core_and_quotient on a core layout with enough beads on every runner, through bead sets.
+
+    The layout's bottom k - len(core) positions are all beads, which puts at least (k - len(core)) // p on each runner.
+    """
+    k = p * (-(-len(core.parts) // p) + max(len(q.parts) for q in quotient) + 1)
     runners = to_abacus(core, p, k).runners
     beads = [g + m * p for g, r in enumerate(runners) for m in beta_of(quotient[g], len(r))]
     return partition_of(BetaSet(tuple(beads)))
@@ -379,6 +386,11 @@ def _rebuild_by_runner_bead_sets(core, quotient, p):
 
 class TestRowLists:
     @given(partitions(), st.integers(2, 13))
+    @example(P((1,)), 97)
+    @example(P((6, 6, 2)), 97)
+    @example(P((1,)), 997)
+    @example(P((6, 6, 2)), 997)
+    @example(_smoke_997(), 997)
     def test_readers_agree_with_runner_bead_sets(self, la, p):
         core, quotient = _by_runner_bead_sets(la, p)
         assert core_and_quotient(la, p) == (core, quotient)
@@ -399,10 +411,11 @@ class TestRowLists:
                                        (P((6, 6, 2)), 997)])
     @pytest.mark.parametrize("reader", [core_and_quotient, p_core, p_quotient])
     def test_readers_build_one_bead_set(self, count_calls, reader, la, p):
+        # no bead set at all: the reader lays out bead positions and buckets them by runner
         built = count_calls(BetaSet, "__post_init__")
         runner = count_calls(abacus.Abacus, "runner")
         reader(la, p)
-        assert len(built) == 1
+        assert built == []
         assert runner == []
 
     @pytest.mark.parametrize("core, quotient", [

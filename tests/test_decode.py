@@ -3,10 +3,11 @@
 `beta._decoded` builds a `Partition` from distinct ascending bead positions
 without `__post_init__`; every reader and the rebuild decode through it. Each
 value it gives must equal the checked construction of its own parts, with
-plain-int parts, and the bead sets those readers lay out must build no
-membership set that nothing asks for.
+plain-int parts, and the readers must build no bead set, so no membership
+set that nothing asks for.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -65,8 +66,7 @@ class TestMembershipSet:
     def test_readers_build_no_membership_set(self, count_calls):
         built = count_calls(BetaSet, "__post_init__")
         core_and_quotient(Partition((4, 1, 1, 1)), 3)
-        (x,), = built
-        assert "_members" not in vars(x)
+        assert built == []  # no bead set, so no membership set either
 
     def test_built_on_first_use_and_kept(self):
         x = BetaSet((5, 0, 2))
@@ -85,6 +85,25 @@ class TestMembershipSet:
     def test_duplicates_keep_their_message(self, beads, message):
         with pytest.raises(diaghooks.errors.InvalidBetaSet, match=f"^{message}$"):
             BetaSet(beads)
+
+
+class TestWorkloadRoutes:
+    def test_no_route_builds_a_bead_set_or_an_abacus(self, count_calls, capsys):
+        # a sweep, one (partition, p) cell of every check, and the p = 997 delta line with the core line it feeds
+        bead_sets, abaci = count_calls(BetaSet, "__post_init__"), count_calls(diaghooks.Abacus, "__post_init__")
+        assert diaghooks.run_verify(12, (2, 3, 5, 7)).ok
+        la, p = from_delta_lengths([61, 45, 31, 23, 15, 13, 9, 3, 1]), 11
+        core, quotient = p_core(la, p), p_quotient(la, p)
+        assert from_core_and_quotient(core, quotient, p) == la
+        assert diaghooks.delta_general(core, quotient, p) == delta_of(la)
+        assert diaghooks.is_symmetric_p_core(diaghooks.diagonal_bisequence(la), p) == diaghooks.is_p_core(la, p)
+        components = [""] * 997
+        components[3], components[993], components[498] = "3,1", "2,1,1", "2,1"
+        quotient = [arg for c in components for arg in ("--quotient", c)]
+        assert main(["delta", "--from-delta", "--core", "2015,1001,21", *quotient, "--p", "997", "--json"]) == 0
+        partition = ",".join(map(str, json.loads(capsys.readouterr().out)["partition"]))
+        assert main(["core", partition, "--p", "997", "--json"]) == 0
+        assert (len(bead_sets), len(abaci)) == (0, 0)
 
 
 def reference_delta_set(given):
