@@ -20,6 +20,7 @@ from .errors import (
     NotAPHook,
     WrongQuotientLength,
     _ints,
+    _items,
     require_modulus,
     require_residue,
 )
@@ -76,10 +77,15 @@ def _quotient_of(rows: list[list[int]]) -> tuple[Partition, ...]:
     return tuple(_decoded(r) if r and r[-1] >= len(r) else _EMPTY for r in rows)
 
 
+def _canonical_rows(la: Partition, p: int) -> list[list[int]]:
+    # the canonical layout's bead positions bucketed by runner, each row ascending, as _quotient_of wants
+    return _rows(reversed(_beads(la.parts, _canonical_bead_count(la, p))), p)
+
+
 def core_and_quotient(la: Partition, p: int) -> tuple[Partition, tuple[Partition, ...]]:
     """p_core and p_quotient read off one pass over the canonical layout's bead positions, with no bead set."""
     p = require_modulus(p)
-    rows = _rows(reversed(_beads(la.parts, _canonical_bead_count(la, p))), p)  # ascending, as _quotient_of wants
+    rows = _canonical_rows(la, p)
     return _core_of(rows, p), _quotient_of(rows)
 
 
@@ -88,12 +94,13 @@ def p_core(la: Partition, p: int) -> Partition:
 
     The result has no hook of length p and does not depend on the bead count.
     """
-    return core_and_quotient(la, p)[0]
+    p = require_modulus(p)
+    return _core_of(_canonical_rows(la, p), p)
 
 
 def p_quotient(la: Partition, p: int) -> tuple[Partition, ...]:
     """The p partitions read off the runners of the canonical abacus."""
-    return core_and_quotient(la, p)[1]
+    return _quotient_of(_canonical_rows(la, require_modulus(p)))
 
 
 def is_p_core(la: Partition, p: int) -> bool:
@@ -128,7 +135,7 @@ def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: in
     put it, and spare full rows encode nothing.
     """
     p = require_modulus(p)
-    quotient = tuple(quotient)
+    quotient = _items(quotient)
     _require_components(quotient, p)
     if not is_p_core(core, p):
         raise NotACore(f"{core} has a hook of length {p}")

@@ -134,9 +134,21 @@ def _as_int(v) -> int:
         return -1
 
 
+class _NotIterable(str):  # a non-iterable given as a sequence: one item that `_as_int` refuses, shown as this text
+    __repr__ = str.__str__
+
+
+def _items(values) -> tuple:
+    """values as a tuple; a non-iterable, such as 5 or None, as one refused item, never as a sequence of itself."""
+    try:
+        return tuple(values)
+    except TypeError:
+        return (_NotIterable(f"{values!r} (not iterable)"),)
+
+
 def _ints(values) -> tuple[int, ...]:
     """values as a tuple of plain ints, each read by `_as_int`; a tuple of plain ints is returned as it is."""
-    values = tuple(values)
+    values = values if type(values) is tuple else _items(values)  # a tuple is its own _items, with no call
     for v in values:  # exits at the first non-int; a set of the types would be built in full first
         if type(v) is not int:
             return tuple(map(_as_int, values))

@@ -19,6 +19,7 @@ from .errors import (
     NotACore,
     NotSymmetricQuotient,
     _as_int,
+    _items,
     require_modulus,
     require_residue,
 )
@@ -162,7 +163,7 @@ def delta_general(core: Partition, quotient: Sequence[Partition], p: int) -> Del
     gives the length 2*b + 1.
     """
     p = require_modulus(p)
-    quotient = tuple(quotient)
+    quotient = _items(quotient)
     if not is_symmetric_quotient(quotient, p):
         raise NotSymmetricQuotient("component g must equal conjugate of component p-1-g")
     d0 = _core_d0(core, p)

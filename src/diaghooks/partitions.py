@@ -20,6 +20,7 @@ from .errors import (
     NotSymmetric,
     _as_int,
     _ints,
+    _items,
 )
 
 
@@ -34,7 +35,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        given = tuple(self.parts)
+        given = _items(self.parts)
         parts = _ints(given)
         if parts and min(parts) < 1:  # builtin passes decide; the loops only find what the message shows
             k = next(k for k, part in enumerate(parts) if part < 1)
@@ -145,7 +146,7 @@ class DeltaSet:
     lengths: tuple[int, ...] = ()
 
     def __post_init__(self):
-        given = tuple(self.lengths)
+        given = _items(self.lengths)
         lengths = _ints(given)
         for k, d in enumerate(lengths):  # faster than min and a parity pass on the few lengths a partition has
             if d < 1 or d % 2 == 0:
@@ -208,7 +209,7 @@ def _check_descending(values: Iterable[int], what: str) -> tuple[int, ...]:
 
 def _checked_frobenius(legs: Iterable[int], arms: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """legs and arms as int tuples; raises unless equally long, strictly decreasing and non-negative."""
-    legs, arms = tuple(legs), tuple(arms)
+    legs, arms = _items(legs), _items(arms)
     if len(legs) != len(arms):
         raise LengthMismatch(f"{len(legs)} legs vs {len(arms)} arms")
     return _check_descending(legs, "legs"), _check_descending(arms, "arms")
@@ -228,7 +229,7 @@ def from_frobenius(legs: Iterable[int], arms: Iterable[int]) -> Partition:
 
 def from_delta_lengths(lengths: Iterable[int]) -> Partition:
     """Self-conjugate partition with the given diagonal hook lengths."""
-    delta = DeltaSet(tuple(lengths))
+    delta = DeltaSet(lengths)
     half = tuple((d - 1) // 2 for d in delta.lengths)
     return from_frobenius(half, half)
 

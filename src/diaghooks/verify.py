@@ -1,11 +1,12 @@
 """Exhaustive sweep comparing the runner formulas against the diagram reading."""
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .abacus import _rebuild, core_and_quotient, is_p_core
 from .bisequence import Bisequence, diagonal_bisequence, is_symmetric_p_core
-from .errors import BadModulus, DiagHookError, NonPositivePart, _as_int, require_modulus
+from .errors import BadModulus, DiagHookError, NonPositivePart, _as_int, _items, require_modulus
 from .formula import delta_general
 from .partitions import DeltaSet, Partition, delta_of, enumerate_partitions
 
@@ -19,6 +20,9 @@ class Failure:
     detail: str
 
 
+MAX_LISTED = 20  # failures a report keeps in full; it counts every one
+
+
 @dataclass
 class VerifyReport:
     n_max: int
@@ -26,6 +30,8 @@ class VerifyReport:
     cells: int = 0
     failures: int = 0
     first_failure: Failure | None = None
+    failures_by_check: Counter[str] = field(default_factory=Counter)  # check name -> failures under it
+    first_failures: list[Failure] = field(default_factory=list)  # the first MAX_LISTED, first_failure first
 
     @property
     def ok(self) -> bool:
@@ -62,7 +68,7 @@ def run_verify(n_max: int, moduli: Iterable[int]) -> VerifyReport:
     n_top = _as_int(n_max)
     if n_top < 0:
         raise NonPositivePart(f"n_max must be an integer >= 0, got {n_max!r}")
-    moduli = tuple(sorted({require_modulus(p) for p in moduli}))
+    moduli = tuple(sorted({require_modulus(p) for p in _items(moduli)}))
     if not moduli:
         raise BadModulus("need at least one modulus")
     report = VerifyReport(n_max=n_top, moduli=moduli)
@@ -73,6 +79,9 @@ def run_verify(n_max: int, moduli: Iterable[int]) -> VerifyReport:
                 report.cells += 1
                 for check, detail in _cell_problems(la, p, oracle, diagonal):
                     report.failures += 1
+                    report.failures_by_check[check] += 1
+                    if len(report.first_failures) < MAX_LISTED:
+                        report.first_failures.append(Failure(n, la.parts, p, check, detail))
                     if report.first_failure is None:
-                        report.first_failure = Failure(n, la.parts, p, check, detail)
+                        report.first_failure = report.first_failures[0]
     return report

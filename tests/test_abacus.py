@@ -283,6 +283,16 @@ class TestOnePassAbacus:
         ab = to_abacus(P((4, 1, 1, 1)), 3)
         assert ab.runners is ab.runners
 
+    def test_each_half_decodes_only_itself(self, count_calls):
+        # a caller wanting one half pays for that half's decode alone; core_and_quotient decodes both once
+        cores = count_calls(abacus, "_core_of")
+        quotients = count_calls(abacus, "_quotient_of")
+        la = P((4, 1, 1, 1))
+        for reader, decodes in [(p_core, (1, 0)), (p_quotient, (0, 1)), (core_and_quotient, (1, 1))]:
+            reader(la, 3)
+            assert (len(cores), len(quotients)) == decodes, reader
+            del cores[:], quotients[:]
+
     @pytest.mark.parametrize("core, quotient", [
         (P(()), (P((1, 1, 1)), P((3,)))),
         (P((1,)), (P((2, 2, 1)), P(()), P((1, 1, 1, 1)), P((3,)))),

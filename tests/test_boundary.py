@@ -35,9 +35,19 @@ from diaghooks import (
     to_abacus,
 )
 from diaghooks.beta import BetaHook, BetaSet, remove_hook, young_hook
-from diaghooks.bisequence import QuotientEntry
-from diaghooks.errors import BadModulus, InternalInconsistency, NotAPHook, NotStrictlyDecreasing
+from diaghooks.bisequence import Bisequence, QuotientEntry
+from diaghooks.errors import (
+    BadModulus,
+    InternalInconsistency,
+    InvalidDeltaSet,
+    NonPositivePart,
+    NotAPHook,
+    NotStrictlyDecreasing,
+    WrongQuotientLength,
+)
 from diaghooks.formula import d0_shift, shift_sets
+from diaghooks.partitions import DeltaSet, from_frobenius
+from diaghooks.verify import run_verify
 
 
 LA = Partition((6, 4, 3, 2, 2, 1))
@@ -153,3 +163,24 @@ def test_shift_amount_and_hook_ends_follow_the_integer_rule(call, expected):
             call()
     else:
         assert call() == expected()
+
+
+NOT_ITERABLE_CASES = {
+    # a non-iterable where a sequence goes is one refused item: its rule's own error, which names it
+    "Partition": (lambda: Partition(5), NonPositivePart, "part #1 is 5 (not iterable)"),
+    "DeltaSet": (lambda: DeltaSet(None), InvalidDeltaSet, "None (not iterable) is not a positive odd integer"),
+    "from_delta_lengths": (lambda: from_delta_lengths(2.5), InvalidDeltaSet, "2.5 (not iterable)"),
+    "from_frobenius": (lambda: from_frobenius(1, 1), NotStrictlyDecreasing, LEGS_SHOWN),  # not the partition (2,1)
+    "Bisequence": (lambda: Bisequence(5, 5), NotStrictlyDecreasing, LEGS_SHOWN),
+    "QuotientEntry": (lambda: QuotientEntry(5, ()), NotStrictlyDecreasing, LEGS_SHOWN),
+    "shift_sets": (lambda: shift_sets(5, 2), NotStrictlyDecreasing, LEGS_SHOWN),
+    "run_verify": (lambda: run_verify(5, 3), BadModulus, "got 3 (not iterable)"),
+    "delta_general": (lambda: delta_general(Partition(), 5, 3), WrongQuotientLength, "got 1"),
+    "from_core_and_quotient": (lambda: from_core_and_quotient(Partition(), 5, 3), WrongQuotientLength, "got 1"),
+}
+
+
+@pytest.mark.parametrize("call, error, shown", NOT_ITERABLE_CASES.values(), ids=NOT_ITERABLE_CASES)
+def test_a_non_iterable_sequence_raises_its_rules_error(call, error, shown):
+    with pytest.raises(error, match=re.escape(shown)):
+        call()

@@ -161,6 +161,27 @@ def test_a_refused_pair_is_its_cells_one_failure(reader, monkeypatch):
     assert report.first_failure == verify.Failure(*first)
 
 
+@pytest.mark.parametrize("reader", REFUSED_PAIRS)
+def test_a_report_counts_its_failures_per_check(reader, monkeypatch):
+    (owner, route, stand_in), spoilt, first = REFUSED_PAIRS[reader]
+    spoilt_cells = [la for la in symmetric_up_to(12) if spoilt(la)]
+    monkeypatch.setattr(owner, route, stand_in)
+    report = run_verify(12, (3,))
+    assert report.failures_by_check == {first[3]: len(spoilt_cells)}
+    listed = spoilt_cells[: verify.MAX_LISTED]
+    assert [(f.partition, f.check) for f in report.first_failures] == [(la.parts, first[3]) for la in listed]
+    assert report.first_failures[0] == report.first_failure == verify.Failure(*first)
+
+
+def test_a_report_lists_only_the_first_failures(monkeypatch):
+    clean = run_verify(12, (3, 5))
+    assert (clean.failures_by_check, clean.first_failures, clean.first_failure) == ({}, [], None)
+    monkeypatch.setattr(verify, "core_and_quotient", swapped_components(verify.core_and_quotient))
+    report = run_verify(24, (3, 5))
+    assert sum(report.failures_by_check.values()) == report.failures > verify.MAX_LISTED
+    assert len(report.first_failures) == verify.MAX_LISTED and report.first_failures[0] == report.first_failure
+
+
 def test_an_error_no_guard_raises_still_propagates(monkeypatch):
     monkeypatch.setattr(verify, "core_and_quotient", lambda la, p: (la, (1,) * p))  # components that are no partitions
     with pytest.raises(AttributeError):
