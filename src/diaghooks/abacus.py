@@ -8,7 +8,6 @@ deterministic.
 
 import enum
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -150,11 +149,16 @@ def _rebuild(core: Partition, quotient: Sequence[Partition], p: int) -> Partitio
     moved = [(tops.get(g, g - p), c.parts) for g, c in enumerate(quotient) if c.parts]
     # a spare full row adds one bead to every runner and encodes nothing: add as many as the runners lack
     j = max([len(parts) - top // p - 1 for top, parts in moved] + [0])
+    old, new = [], []
+    for top, parts in moved:  # the runner's top bead moves up parts[0] rows, the one below it parts[1], ...
+        bead = top + j * p
+        for part in parts:
+            old.append(bead)
+            new.append(bead + part * p)
+            bead -= p
     beads = set(_beads(core.parts, k + j * p))
-    for top, parts in moved:
-        rows = range(top + j * p, top + (j - len(parts)) * p, -p)
-        beads.difference_update(rows)
-        beads.update(map(operator.add, rows, map(p.__mul__, parts)))
+    beads.difference_update(old)
+    beads.update(new)
     return _decoded(sorted(beads))
 
 

@@ -162,8 +162,8 @@ def is_concentrated(d: Bisequence, p: int, residues: Iterable[int]) -> bool:
 
 
 def _is_packed(rows: list[int]) -> bool:
-    """True when one residue class's descending rows are exactly r, ..., 1, 0."""
-    return rows == list(range(len(rows) - 1, -1, -1))
+    """True when one residue class's rows, strictly decreasing and >= 0, are exactly r, ..., 1, 0: the first decides."""
+    return not rows or rows[0] == len(rows) - 1
 
 
 def is_gamma_packed(d: Bisequence, p: int, g: int) -> bool:

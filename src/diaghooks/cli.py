@@ -200,6 +200,9 @@ def cmd_verify(args) -> int:
             f = report.first_failure
             print(f"first failure: n={f.n} partition={Partition(f.partition)} p={f.p} check={f.check}")
             print(f"  {f.detail}")
+    if not report.ok:  # on stderr, so stdout keeps the shape scripts read
+        counts = ", ".join(f"{check}={count}" for check, count in sorted(report.failures_by_check.items()))
+        print(f"failures by check: {counts}", file=sys.stderr)
     return 0 if report.ok else 1
 
 

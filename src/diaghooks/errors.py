@@ -128,6 +128,8 @@ class InternalInconsistency(DiagHookError):
 
 def _as_int(v) -> int:
     """v as a plain int, via `operator.index`; -1, which every caller refuses, for bool and non-integers."""
+    if type(v) is int:  # the common case, with no call
+        return v
     try:
         return -1 if isinstance(v, bool) else operator.index(v)
     except TypeError:

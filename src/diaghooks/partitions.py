@@ -201,9 +201,9 @@ def _check_descending(values: Iterable[int], what: str) -> tuple[int, ...]:
     seq = _ints(values)
     if seq and min(seq) < 0:
         raise NotStrictlyDecreasing(f"{what} must be non-negative integers")
-    for a, b in zip(seq, seq[1:]):
-        if b >= a:
-            raise NotStrictlyDecreasing(f"{what} must strictly decrease, found {a} then {b}")
+    if not all(map(operator.gt, seq, seq[1:])):  # the builtin pass decides; the loop only finds the pair to name
+        a, b = next((a, b) for a, b in zip(seq, seq[1:]) if b >= a)
+        raise NotStrictlyDecreasing(f"{what} must strictly decrease, found {a} then {b}")
     return seq
 
 
@@ -221,7 +221,11 @@ def from_frobenius(legs: Iterable[int], arms: Iterable[int]) -> Partition:
     Inverse of diagonal_hooks: legs[i] and arms[i] are the leg and arm of the
     hook cornered at cell (i+1, i+1).
     """
-    legs, arms = _checked_frobenius(legs, arms)
+    return _from_frobenius(*_checked_frobenius(legs, arms))
+
+
+def _from_frobenius(legs: tuple[int, ...], arms: tuple[int, ...]) -> Partition:
+    """from_frobenius on int tuples already equally long, strictly decreasing and >= 0; one checked Partition."""
     rows = tuple(a + i for i, a in enumerate(arms, 1))
     # Only the t Durfee columns, of lengths legs[i-1] + i, reach below row t: those rows are their conjugate.
     return Partition(rows + _columns(tuple(b + i for i, b in enumerate(legs, 1)))[len(legs):])
@@ -229,9 +233,8 @@ def from_frobenius(legs: Iterable[int], arms: Iterable[int]) -> Partition:
 
 def from_delta_lengths(lengths: Iterable[int]) -> Partition:
     """Self-conjugate partition with the given diagonal hook lengths."""
-    delta = DeltaSet(lengths)
-    half = tuple((d - 1) // 2 for d in delta.lengths)
-    return from_frobenius(half, half)
+    half = tuple((d - 1) // 2 for d in DeltaSet(lengths).lengths)  # distinct odd lengths halve to distinct arms
+    return _from_frobenius(half, half)
 
 
 def _distinct_odd_parts(n: int, largest: int) -> Iterator[tuple[int, ...]]:
@@ -270,7 +273,9 @@ def enumerate_partitions(n: int, symmetric_only: bool = False) -> Iterator[Parti
     size = _as_int(n)
     if size < 0:
         raise NonPositivePart(f"cannot partition {n!r}")
-    if symmetric_only:
-        yield from map(from_delta_lengths, _distinct_odd_parts(size, size))
+    if symmetric_only:  # the generator's lengths are distinct, odd and positive: their halves need no DeltaSet
+        for lengths in _distinct_odd_parts(size, size):
+            half = tuple((d - 1) // 2 for d in lengths)
+            yield _from_frobenius(half, half)
         return
     yield from map(Partition, _descending_parts(size, size))

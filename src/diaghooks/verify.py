@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable
 
 from .abacus import _rebuild, core_and_quotient, is_p_core
@@ -37,6 +38,13 @@ class VerifyReport:
     def ok(self) -> bool:
         return self.failures == 0
 
+    def _add(self, failure: Failure) -> None:
+        self.failures += 1
+        self.failures_by_check[failure.check] += 1
+        if len(self.first_failures) < MAX_LISTED:
+            self.first_failures.append(failure)
+        self.first_failure = self.first_failures[0]
+
 
 def _cell_problems(la: Partition, p: int, oracle: DeltaSet, diagonal: Bisequence) -> list[tuple[str, str]]:
     problems = []
@@ -48,7 +56,7 @@ def _cell_problems(la: Partition, p: int, oracle: DeltaSet, diagonal: Bisequence
     rebuilt = _rebuild(core, quotient, p)
     if rebuilt != la:
         problems.append(("roundtrip", f"rebuilt {rebuilt} from core {core} and quotient"))
-    if core.weight + p * sum(c.weight for c in quotient) != la.weight:
+    if core.weight + p * sum(map(sum, map(attrgetter("parts"), quotient))) != la.weight:
         problems.append(("weight", f"core {core.weight} + {p}*quotient != {la.weight}"))
     if formula != oracle:
         problems.append(("delta", f"formula {formula.lengths} vs diagram {oracle.lengths}"))
@@ -63,7 +71,9 @@ def run_verify(n_max: int, moduli: Iterable[int]) -> VerifyReport:
     Per (partition, p) cell: core/quotient roundtrip, the weight identity,
     formula delta == diagram delta, and the p-core residue criterion against
     the direct hook check; a pair the formula's guard refuses is one failure,
-    named by the guard's error. Deterministic order: n ascending, enumeration order, p ascending.
+    named by the guard's error. Per n, a `coverage` failure when the partitions
+    checked are not as many as an independent count of them.
+    Deterministic order: n ascending, enumeration order, p ascending.
     """
     n_top = _as_int(n_max)
     if n_top < 0:
@@ -72,16 +82,18 @@ def run_verify(n_max: int, moduli: Iterable[int]) -> VerifyReport:
     if not moduli:
         raise BadModulus("need at least one modulus")
     report = VerifyReport(n_max=n_top, moduli=moduli)
+    counts = [1] + [0] * n_top  # partitions of each n into distinct odd parts, one odd part at a time
+    for d in range(1, n_top + 1, 2):
+        for m in range(n_top, d - 1, -1):
+            counts[m] += counts[m - d]
     for n in range(n_top + 1):
+        start = report.cells
         for la in enumerate_partitions(n, symmetric_only=True):
             oracle, diagonal = delta_of(la), diagonal_bisequence(la)
             for p in moduli:
                 report.cells += 1
                 for check, detail in _cell_problems(la, p, oracle, diagonal):
-                    report.failures += 1
-                    report.failures_by_check[check] += 1
-                    if len(report.first_failures) < MAX_LISTED:
-                        report.first_failures.append(Failure(n, la.parts, p, check, detail))
-                    if report.first_failure is None:
-                        report.first_failure = report.first_failures[0]
+                    report._add(Failure(n, la.parts, p, check, detail))
+        if (checked := (report.cells - start) // len(moduli)) != counts[n]:
+            report._add(Failure(n, (), moduli[0], "coverage", f"checked {checked} partitions, expected {counts[n]}"))
     return report

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import partitions, partitions_up_to, symmetric_up_to
+from diaghooks import partitions as partitions_module
 from diaghooks.bisequence import Bisequence, diagonal_bisequence
 from diaghooks.errors import (
     CellOutOfDiagram,
@@ -316,6 +317,16 @@ class TestEnumeration:
         got = list(enumerate_partitions(40, symmetric_only=True))
         assert len(got) == _distinct_odd_count(40)
         assert len(built) == len(got)
+
+    def test_symmetric_stream_rechecks_no_generated_lengths(self, monkeypatch):
+        # the generator's lengths go straight to the rows: no DeltaSet and no Frobenius check, only the Partition's own
+        checked, deltas = [], []
+        real, original = partitions_module._checked_frobenius, DeltaSet.__post_init__
+        monkeypatch.setattr(partitions_module, "_checked_frobenius", lambda *pair: checked.append(1) or real(*pair))
+        monkeypatch.setattr(DeltaSet, "__post_init__", lambda self: deltas.append(self) or original(self))
+        assert len(list(enumerate_partitions(40, symmetric_only=True))) == _distinct_odd_count(40)
+        assert (checked, deltas) == ([], [])
+        assert from_frobenius((2, 0), (1, 0)) == Partition((2, 2, 1)) and checked == [1]
 
 
 class TestDiagonalBisequence:

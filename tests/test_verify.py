@@ -8,6 +8,7 @@ from conftest import swapped_components, symmetric_up_to, unpushed_core
 from diaghooks import abacus, formula, verify
 from diaghooks.abacus import p_quotient
 from diaghooks.bisequence import diagonal_bisequence, is_symmetric_p_core
+from diaghooks.cli import main
 from diaghooks.errors import BadModulus, NonPositivePart
 from diaghooks.partitions import DeltaSet, Partition, delta_of, from_delta_lengths
 from diaghooks.verify import run_verify
@@ -171,6 +172,47 @@ def test_a_report_counts_its_failures_per_check(reader, monkeypatch):
     listed = spoilt_cells[: verify.MAX_LISTED]
     assert [(f.partition, f.check) for f in report.first_failures] == [(la.parts, first[3]) for la in listed]
     assert report.first_failures[0] == report.first_failure == verify.Failure(*first)
+
+
+@pytest.mark.parametrize("reader", REFUSED_PAIRS)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_verify_prints_its_failures_by_check_on_stderr(reader, json_flag, monkeypatch, capsys):
+    (owner, route, stand_in), spoilt, first = REFUSED_PAIRS[reader]
+    spoilt_cells = sum(1 for la in symmetric_up_to(12) if spoilt(la))
+    monkeypatch.setattr(owner, route, stand_in)
+    assert main(["verify", "--n-max", "12", "--primes", "3", *json_flag]) == 1
+    assert capsys.readouterr().err == f"failures by check: {first[3]}={spoilt_cells}\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_a_clean_verify_writes_nothing_to_stderr(json_flag, capsys):
+    assert main(["verify", "--n-max", "12", "--primes", "3", *json_flag]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _at_10(change):
+    # enumerate_partitions with the list of the two self-conjugate partitions of 10 changed by `change`
+    real = verify.enumerate_partitions
+    return lambda n, symmetric_only=False: (change if n == 10 else list)(list(real(n, symmetric_only)))
+
+
+@pytest.mark.parametrize(
+    "change, checked", [(lambda got: got[1:], 1), (lambda got: got + got[:1], 3)], ids=["lost", "repeated"]
+)
+def test_a_sweep_that_loses_or_repeats_a_partition_says_so(change, checked, monkeypatch):
+    assert run_verify(12, (5, 3)).failures_by_check == {}
+    monkeypatch.setattr(verify, "enumerate_partitions", _at_10(change))
+    report = run_verify(12, (5, 3))
+    assert report.failures_by_check == {"coverage": 1}
+    assert report.first_failure == verify.Failure(10, (), 3, "coverage", f"checked {checked} partitions, expected 2")
+
+
+def test_failures_by_check_are_printed_sorted_by_name(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "enumerate_partitions", _at_10(lambda got: got[1:]))
+    real = verify.is_symmetric_p_core
+    monkeypatch.setattr(verify, "is_symmetric_p_core", lambda d, p: not real(d, p))
+    assert main(["verify", "--n-max", "12", "--primes", "3"]) == 1
+    assert capsys.readouterr().err == "failures by check: core-criterion=17, coverage=1\n"
 
 
 def test_a_report_lists_only_the_first_failures(monkeypatch):
