@@ -116,6 +116,7 @@ def _require_components(quotient: Sequence[Partition], p: int) -> None:
 
 def is_symmetric_quotient(quotient: Sequence[Partition], p: int | None = None) -> bool:
     """True when component g is the conjugate of component p-1-g for every g."""
+    quotient = _items(quotient)
     if p is not None:
         _require_components(quotient, require_modulus(p))
     # Conjugation is an involution, so the first half of the pairs decides; two empty components agree.

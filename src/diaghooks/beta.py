@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 
 from .bisequence import Bisequence
-from .errors import InvalidBetaSet, NotAPHook, TooFewBeads, _as_int, _ints
+from .errors import InvalidBetaSet, NotAPHook, TooFewBeads, _as_int, _ints, _items
 from .partitions import Hook, Partition
 
 
@@ -23,10 +23,7 @@ class BetaSet:
     beads: tuple[int, ...] = ()
 
     def __post_init__(self):
-        try:
-            given = tuple(self.beads)
-        except TypeError:  # not iterable, such as 5 or None
-            raise InvalidBetaSet(f"bead positions must be an iterable of integers, got {self.beads!r}") from None
+        given = _items(self.beads)
         beads = tuple(sorted(_ints(given)))
         object.__setattr__(self, "beads", beads)
         if beads and beads[0] < 0:

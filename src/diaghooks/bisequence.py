@@ -13,6 +13,7 @@ from .errors import (
     InconsistentQuotient,
     NotSymmetricBisequence,
     _ints,
+    _items,
     require_modulus,
     require_residue,
 )
@@ -157,8 +158,9 @@ def residue_class(d: Bisequence, p: int, g: int) -> tuple[tuple[int, ...], tuple
 
 
 def is_concentrated(d: Bisequence, p: int, residues: Iterable[int]) -> bool:
-    """True when the populated residue entries of d are exactly the given set."""
-    return quotient_of(d, p).populated == frozenset(residues)
+    """True when the populated residue entries of d are exactly the given residues, each an integer 0..p-1."""
+    q = quotient_of(d, p)
+    return q.populated == frozenset(require_residue(g, q.p) for g in _items(residues))
 
 
 def _is_packed(rows: list[int]) -> bool:

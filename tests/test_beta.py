@@ -235,10 +235,10 @@ class TestIntegerRule:
     def test_bead_set_that_is_not_iterable_is_refused(self, beads):
         with pytest.raises(InvalidBetaSet) as info:
             BetaSet(beads)
-        assert str(info.value) == f"bead positions must be an iterable of integers, got {beads!r}"
+        assert str(info.value) == f"bead position {beads!r} (not iterable) is not a non-negative integer"
         with pytest.raises(InvalidBetaSet) as info:
             Abacus(2, beads)
-        assert str(info.value) == f"bead positions must be an iterable of integers, got {beads!r}"
+        assert str(info.value) == f"bead position {beads!r} (not iterable) is not a non-negative integer"
 
     def test_index_only_shift_is_read_as_int(self):
         class Two:

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import partitions_up_to, symmetric_up_to
+from conftest import Index, partitions_up_to, symmetric_up_to
 from diaghooks import abacus, bisequence, formula
 from diaghooks.abacus import is_p_core, p_core, p_quotient
 from diaghooks.bisequence import (
@@ -179,6 +179,17 @@ class TestConcentrated:
         assert not is_concentrated(d, 3, {1})
         assert not is_concentrated(Bisequence((), ()), 3, {0})
         assert is_concentrated(Bisequence((), ()), 3, set())
+
+    @pytest.mark.parametrize("residues", [{0, 2, 7}, [True, 0, 2], ["0", 2], {2.0, 0}], ids=["7", "True", "'0'", "2.0"])
+    def test_residues_follow_the_residue_rule(self, residues):
+        # (3,1,1) populates exactly residues 0 and 2 at p = 3: an out-of-range, bool or non-integer residue is
+        # refused, not read as a residue that is not populated
+        with pytest.raises(BadResidue):
+            is_concentrated(diagonal_bisequence(P((3, 1, 1))), 3, residues)
+
+    def test_index_only_residue_is_read_as_int(self):
+        d = diagonal_bisequence(P((3, 1, 1)))
+        assert is_concentrated(d, 3, {Index(2), 0})
 
 
 class TestPacked:

@@ -25,6 +25,7 @@ from diaghooks import (
     from_core_and_quotient,
     from_delta_lengths,
     hooks_of,
+    is_concentrated,
     is_gamma_packed,
     is_p_core,
     is_symmetric_quotient,
@@ -38,7 +39,9 @@ from diaghooks.beta import BetaHook, BetaSet, remove_hook, young_hook
 from diaghooks.bisequence import Bisequence, QuotientEntry
 from diaghooks.errors import (
     BadModulus,
+    BadResidue,
     InternalInconsistency,
+    InvalidBetaSet,
     InvalidDeltaSet,
     NonPositivePart,
     NotAPHook,
@@ -177,6 +180,10 @@ NOT_ITERABLE_CASES = {
     "run_verify": (lambda: run_verify(5, 3), BadModulus, "got 3 (not iterable)"),
     "delta_general": (lambda: delta_general(Partition(), 5, 3), WrongQuotientLength, "got 1"),
     "from_core_and_quotient": (lambda: from_core_and_quotient(Partition(), 5, 3), WrongQuotientLength, "got 1"),
+    "BetaSet": (lambda: BetaSet(5), InvalidBetaSet, "bead position 5 (not iterable) is not a non-negative integer"),
+    "Abacus": (lambda: Abacus(2, None), InvalidBetaSet, "None (not iterable)"),
+    "is_symmetric_quotient": (lambda: is_symmetric_quotient(5, 3), WrongQuotientLength, "got 1"),
+    "is_concentrated": (lambda: is_concentrated(diagonal_bisequence(HOOK_LA), 3, 5), BadResidue, "5 (not iterable)"),
 }
 
 
