@@ -170,6 +170,6 @@ def delta_general(core: Partition, quotient: Sequence[Partition], p: int) -> Del
     lengths: list[int] = []
     for r in range((p + 1) // 2):
         g = p - 1 - r if d0[p - 1 - r] else r
-        if quotient[g].parts or d0[g]:  # an empty component is not walked: its Frobenius data is ((), ())
-            lengths += _pair_lengths(*(_frobenius(quotient[g]) if quotient[g].parts else ((), ())), g, p, d0[g])
+        if quotient[g].parts or d0[g]:  # a pair with no core arms and an empty component adds no lengths
+            lengths += _pair_lengths(*_frobenius(quotient[g]), g, p, d0[g])
     return _delta(lengths)

@@ -237,20 +237,19 @@ def from_delta_lengths(lengths: Iterable[int]) -> Partition:
     return _from_frobenius(half, half)
 
 
-def _distinct_odd_parts(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-    # Partitions of n into distinct odd parts <= largest, descending lexicographically: the order
-    # enumerate_partitions gives the self-conjugate partitions they are the diagonal hook lengths
-    # of. Row i <= t of from_delta_lengths(d) is (d_i - 1)/2 + i, so rows agree before the first
-    # index k where two sequences differ; at k the larger d_k gives the larger row, and a sequence
-    # that has already ended has row k <= k - 1, below the other's row k >= k.
+def _distinct_arms(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    # Strictly decreasing arms a <= largest whose hooks 2a + 1 sum to n, descending lexicographically: the
+    # order enumerate_partitions gives the self-conjugate partitions with these arms. Row i <= t is a_i + i,
+    # so rows agree before the first index k where two arm sequences differ; at k the larger a_k gives the
+    # larger row, and a sequence that has already ended has row k <= k - 1, below the other's row k >= k.
     if n == 0:
         yield ()
         return
-    for d in range(min(largest, n - 1 + n % 2), 0, -2):  # from the largest odd d <= n
-        if (d + 1) * (d + 1) < 4 * n:  # 1 + 3 + ... + d = ((d + 1) / 2)**2 falls short of n
+    for a in range(min(largest, (n - 1) // 2), -1, -1):  # from the largest a with 2a + 1 <= n
+        if (a + 1) * (a + 1) < n:  # the hooks 1 + 3 + ... + (2a + 1) = (a + 1)**2 fall short of n
             return
-        for rest in _distinct_odd_parts(n - d, d - 2):
-            yield (d,) + rest
+        for rest in _distinct_arms(n - 2 * a - 1, a - 1):
+            yield (a,) + rest
 
 
 def _descending_parts(n: int, largest: int) -> Iterator[tuple[int, ...]]:
@@ -267,15 +266,14 @@ def enumerate_partitions(n: int, symmetric_only: bool = False) -> Iterator[Parti
     """All partitions of n, in reverse lexicographic order, each exactly once.
 
     With symmetric_only only the self-conjugate partitions are yielded (same
-    order), generated directly from their diagonal hook lengths: the
-    partitions of n into distinct odd parts.
+    order), generated directly from their Frobenius arms: the strictly
+    decreasing a >= 0 whose diagonal hook lengths 2a + 1 sum to n.
     """
     size = _as_int(n)
     if size < 0:
         raise NonPositivePart(f"cannot partition {n!r}")
-    if symmetric_only:  # the generator's lengths are distinct, odd and positive: their halves need no DeltaSet
-        for lengths in _distinct_odd_parts(size, size):
-            half = tuple((d - 1) // 2 for d in lengths)
-            yield _from_frobenius(half, half)
+    if symmetric_only:  # the generator's arms are distinct and non-negative: they need no DeltaSet
+        for arms in _distinct_arms(size, size):
+            yield _from_frobenius(arms, arms)
         return
     yield from map(Partition, _descending_parts(size, size))

@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -52,6 +53,12 @@ class TestLayout:
 
     def test_spike(self):
         assert to_abacus(P((4, 1, 1, 1)), 3).beads.beads == (0, 1, 3, 4, 5, 9)
+
+    def test_canonical_layout_is_whole_rows_of_at_most_len_plus_p_beads(self):
+        # the fewest whole rows of p beads that hold one bead per part, and at least one row
+        for la in partitions_up_to(12):
+            for p in (*range(2, 10), 97):
+                assert len(to_abacus(la, p).beads) == p * max(1, math.ceil(len(la) / p)) <= len(la) + p, (la, p)
 
     def test_bad_modulus(self):
         with pytest.raises(BadModulus):

@@ -305,6 +305,13 @@ class TestEnumeration:
             assert len(got) == _distinct_odd_count(n)
             assert all(la.is_symmetric and la.weight == n for la in got)
 
+    def test_symmetric_stream_order_up_to_eighty(self):
+        # past the filter's reach at n = 30: the generated stream itself strictly decreases and misses nothing
+        for n in range(81):
+            got = [la.parts for la in enumerate_partitions(n, symmetric_only=True)]
+            assert all(a > b for a, b in zip(got, got[1:])), n
+            assert len(got) == _distinct_odd_count(n)
+
     def test_symmetric_stream_builds_one_partition_per_item(self, monkeypatch):
         built = []
         original = Partition.__post_init__
