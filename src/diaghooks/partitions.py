@@ -2,8 +2,8 @@
 
 Conventions used throughout the package: rows and columns are 1-based, parts
 are weakly decreasing positive integers, and the empty partition is a
-first-class value. All quantities fit comfortably in native integers; the
-library is meant for desk-scale weights (n up to a few thousand at most).
+first-class value. Parts and weights are Python ints of any size; the
+formula is checked against the diagram at weights up to 40,000.
 """
 
 import operator

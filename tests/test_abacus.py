@@ -279,6 +279,13 @@ class TestOnePassAbacus:
             assert ab.runner(g) == BetaSet(tuple(b // p for b in ab.beads if b % p == g))
         assert core_and_quotient(la, p) == (p_core(la, p), p_quotient(la, p))
 
+    def test_halves_match_the_reader_on_every_sweep_cell(self):
+        # the cells of `verify --n-max 30 --primes 2,3,4,5,6,7,8,9`, even and composite moduli included
+        cells = [(la, p) for la in symmetric_up_to(30) for p in range(2, 10)]
+        assert len(cells) == 1448
+        for la, p in cells:
+            assert (p_core(la, p), p_quotient(la, p)) == core_and_quotient(la, p), (la, p)
+
     def test_one_layout_and_one_bucketing(self, count_calls):
         layouts = count_calls(abacus, "_beads")
         buckets = count_calls(abacus, "_rows")
@@ -377,7 +384,7 @@ class TestBeadKernel:
 
 
 def _smoke_997():
-    """The partition the p = 997 `delta` line of the CLI smoke test rebuilds: three non-empty components."""
+    """The partition test_cli.py's TestEmptyRunnerLines rebuilds at p = 997: three non-empty components."""
     quotient = [P(())] * 997
     quotient[3], quotient[993], quotient[498] = P((3, 1)), P((2, 1, 1)), P((2, 1))
     return from_core_and_quotient(from_delta_lengths([2015, 1001, 21]), quotient, 997)

@@ -204,6 +204,15 @@ class TestSymmetryFromBeads:
         for la in symmetric_up_to(20):
             assert is_symmetric_beta(beta_of(la, len(la.parts) + 2))
 
+    def test_every_partition_at_three_bead_counts(self):
+        # k beads put the axis at k - 1/2; the readers must not depend on k beyond the number of parts
+        for la in partitions_up_to(12):
+            for k in range(len(la.parts), len(la.parts) + 3):
+                x = beta_of(la, k)
+                assert is_symmetric_beta(x) == la.is_symmetric, (la, k)
+                assert axis_of(x).two_theta == 2 * k - 1, (la, k)
+                assert bisequence_of(x) == diagonal_bisequence(la), (la, k)
+
 
 class TestIntegerRule:
     @pytest.mark.parametrize("beads, shown", [((0.5, 2), "0.5"), ((True, 2), "True"), ((3, "1"), "'1'")])

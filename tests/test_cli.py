@@ -522,6 +522,18 @@ class TestEmptyRunnerLines:
         assert len(built) <= 3 + 2
         assert json.loads(capsys.readouterr().out)["quotient"] == data["quotient"]
 
+    def test_p997_quotient_line_gives_the_core_lines_quotient(self, capsys):
+        # component g stays at index g: the quotient of this partition is not its own reverse
+        p = 997
+        texts = [{3: "3,1", p - 4: "2,1,1", (p - 1) // 2: "2,1"}.get(g, "") for g in range(p)]
+        la = from_core_and_quotient(from_delta_lengths((2015, 1001, 21)), tuple(map(parse_partition, texts)), p)
+        line = [",".join(map(str, la.parts)), "--p", str(p), "--json"]
+        assert main(["core", *line]) == 0
+        quotient = json.loads(capsys.readouterr().out)["quotient"]
+        assert quotient != quotient[::-1]
+        assert main(["quotient", *line]) == 0
+        assert json.loads(capsys.readouterr().out) == {"partition": list(la.parts), "p": p, "quotient": quotient}
+
     @pytest.mark.parametrize("p, core_lengths, components", [
         (5, CORE_DELTA_TEXT, ["6^2,2", "3", "2^2", "1^3", "3^2,2^4"]),
         (997, "2015,1001,21", {3: "3,1", 993: "2,1,1", 498: "2,1"}),

@@ -294,6 +294,12 @@ class TestEnumeration:
             assert len(set(got)) == len(got)
             assert got == sorted(got, reverse=True)
 
+    def test_reverse_lexicographic_order_at_thirty(self):
+        # p(30) = 5,604; a strict decrease also rules out repeats
+        got = [la.parts for la in enumerate_partitions(30)]
+        assert len(got) == 5604
+        assert all(a > b for a, b in zip(got, got[1:]))
+
     def test_first_partitions_of_a_large_weight_come_at_once(self):
         # the recursion nests one generator per part, so the first yields at large n stay shallow
         got = list(itertools.islice(enumerate_partitions(5000), 3))
