@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 
 from .bisequence import Bisequence
-from .errors import InvalidBetaSet, NotAPHook, TooFewBeads, _as_int, _ints, _items
+from .errors import MAX_P, InvalidBetaSet, NotAPHook, TooFewBeads, _as_int, _ints, _items
 from .partitions import Hook, Partition
 
 
@@ -57,8 +57,9 @@ class BetaSet:
     def shifted(self, steps: int = 1) -> "BetaSet":
         """Equivalent encoding with `steps` beads pushed in at the origin."""
         n = _as_int(steps)
-        if n < 0:
-            raise InvalidBetaSet(f"shift must be an integer >= 0, got {steps!r}")
+        if not 0 <= n <= MAX_P:
+            shown = f"shift must be an integer >= 0, got {steps!r}" if n < 0 else f"shift {n} is above {MAX_P}"
+            raise InvalidBetaSet(shown)
         return BetaSet(tuple(range(n)) + tuple(b + n for b in self.beads))
 
     def minimal(self) -> "BetaSet":
@@ -103,10 +104,10 @@ def _beads(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
 
 
 def beta_of(la: Partition, k: int) -> BetaSet:
-    """First-column bead encoding of la with exactly k beads."""
+    """First-column bead encoding of la with exactly k beads, at most MAX_P more than its parts."""
     n = _as_int(k)
-    if n < len(la.parts):
-        raise TooFewBeads(f"need an integer bead count >= {len(la.parts)} for {la}, got {k!r}")
+    if not len(la.parts) <= n <= len(la.parts) + MAX_P:  # the canonical layout adds at most p - 1 beads
+        raise TooFewBeads(f"need an integer bead count in {len(la.parts)}..{len(la.parts) + MAX_P} for {la}, got {k!r}")
     return BetaSet(_beads(la.parts, n))
 
 

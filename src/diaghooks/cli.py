@@ -15,13 +15,12 @@ from operator import attrgetter
 
 from .abacus import _rebuild, core_and_quotient, is_p_core, p_quotient, render_ascii
 from .bisequence import Bisequence, is_symmetric_p_core
-from .errors import BadModulus, BadPartitionSyntax, DiagHookError
+from .errors import MAX_P, BadModulus, BadPartitionSyntax, DiagHookError, require_modulus  # cli.MAX_P: the same bound
 from .formula import delta_general
 from .partitions import _EMPTY, DeltaSet, Partition, _self_conjugate_arms, delta_of, from_delta_lengths
 from .verify import run_verify
 
 MAX_PARTS = 10**6  # parse_partition and --from-delta refuse more cells (and so more parts) before building anything
-MAX_P = 10**6  # main refuses a larger --p or --primes value: the canonical abacus has at least p beads
 MAX_N_MAX = 120  # verify refuses more: run_verify(120, (3,5,7)) checks 417,891 cells in 55 s (2-vCPU VM, Python 3.11)
 
 
@@ -298,10 +297,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(rest)
     if quotients is not None:
         args.quotient = quotients
-    try:
-        args.moduli = [args.p] if hasattr(args, "p") else parse_int_list(args.primes)  # verify computes with it
-        if max(args.moduli) > MAX_P:  # one check for every command, before any of them builds an abacus
-            raise BadModulus(f"p={max(args.moduli)} is above {MAX_P}")
+    try:  # the modulus rule, for every command before any of them builds anything; verify computes with args.moduli
+        args.moduli = list(map(require_modulus, [args.p] if hasattr(args, "p") else parse_int_list(args.primes)))
         return args.func(args)
     except DiagHookError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

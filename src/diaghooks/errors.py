@@ -7,6 +7,8 @@ the usual thing.
 
 import operator
 
+MAX_P = 10**6  # the bound of every size-setting integer: a layout has p runner lists, k bead positions, d0 gaps
+
 
 class DiagHookError(ValueError):
     """Base class for every error raised by this package.
@@ -47,7 +49,7 @@ class InvalidBetaSet(DiagHookError):
 
 
 class TooFewBeads(DiagHookError):
-    """Requested bead count is smaller than the number of parts."""
+    """Requested bead count is below the number of parts, or more than MAX_P above it."""
 
 
 class BadModulus(DiagHookError):
@@ -158,10 +160,10 @@ def _ints(values) -> tuple[int, ...]:
 
 
 def require_modulus(p: int) -> int:
-    """p as a plain int; raises BadModulus unless it is a usable runner count (an integer >= 2)."""
+    """p as a plain int; raises BadModulus unless it is a usable runner count (an integer 2..MAX_P)."""
     n = _as_int(p)
-    if n < 2:
-        raise BadModulus(f"p must be an integer >= 2, got {p!r}")
+    if not 2 <= n <= MAX_P:
+        raise BadModulus(f"p must be an integer >= 2, got {p!r}" if n < 2 else f"p={n} is above {MAX_P}")
     return n
 
 

@@ -13,6 +13,7 @@ from typing import Sequence
 from .abacus import is_p_core, is_symmetric_quotient
 from .bisequence import QuotientEntry
 from .errors import (
+    MAX_P,
     CenterResidue,
     EvenModulus,
     InternalInconsistency,
@@ -90,8 +91,8 @@ def d0_shift(entry: QuotientEntry, d0: int) -> QuotientEntry:
     absorbed. A balanced entry comes out with exactly d0 more arms than legs.
     """
     n = _as_int(d0)
-    if n < 1:
-        raise InternalInconsistency(f"shift amount must be >= 1, got {d0!r}")
+    if not 1 <= n <= MAX_P:  # the shift builds up to d0 new arms, one per gap
+        raise InternalInconsistency(f"shift amount must be >= 1, got {d0!r}" if n < 1 else f"d0={n} is above {MAX_P}")
     return QuotientEntry(*_shift(entry.legs, entry.arms, n))
 
 

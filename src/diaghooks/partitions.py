@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
+    MAX_P,
     CellOutOfDiagram,
     InvalidDeltaSet,
     LengthMismatch,
@@ -270,8 +271,8 @@ def enumerate_partitions(n: int, symmetric_only: bool = False) -> Iterator[Parti
     decreasing a >= 0 whose diagonal hook lengths 2a + 1 sum to n.
     """
     size = _as_int(n)
-    if size < 0:
-        raise NonPositivePart(f"cannot partition {n!r}")
+    if size < 0 or symmetric_only and size > MAX_P:  # the self-conjugate stream's first item has about n/2 rows
+        raise NonPositivePart(f"cannot partition {n!r}" + (f" self-conjugately above {MAX_P}" if size > 0 else ""))
     if symmetric_only:  # the generator's arms are distinct and non-negative: they need no DeltaSet
         for arms in _distinct_arms(size, size):
             yield _from_frobenius(arms, arms)

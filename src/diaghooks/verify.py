@@ -7,7 +7,7 @@ from typing import Iterable
 
 from .abacus import _rebuild, core_and_quotient, is_p_core
 from .bisequence import Bisequence, diagonal_bisequence, is_symmetric_p_core
-from .errors import BadModulus, DiagHookError, NonPositivePart, _as_int, _items, require_modulus
+from .errors import MAX_P, BadModulus, DiagHookError, NonPositivePart, _as_int, _items, require_modulus
 from .formula import delta_general
 from .partitions import DeltaSet, Partition, delta_of, enumerate_partitions
 
@@ -76,8 +76,8 @@ def run_verify(n_max: int, moduli: Iterable[int]) -> VerifyReport:
     Deterministic order: n ascending, enumeration order, p ascending.
     """
     n_top = _as_int(n_max)
-    if n_top < 0:
-        raise NonPositivePart(f"n_max must be an integer >= 0, got {n_max!r}")
+    if not 0 <= n_top <= MAX_P:
+        raise NonPositivePart(f"n_max must be an integer in 0..{MAX_P}, got {n_max!r}")
     moduli = tuple(sorted({require_modulus(p) for p in _items(moduli)}))
     if not moduli:
         raise BadModulus("need at least one modulus")

@@ -3,20 +3,33 @@
 So a modulus, residue or count that is an integer only through `__index__`
 gives the result of the plain int, and a non-integer modulus is refused with
 BadModulus before anything else runs. A shift amount, the legs it shifts and
-the ends of a hook follow the same integer rule.
+the ends of a hook follow the same integer rule. Every integer that sets a
+size has one bound, `errors.MAX_P`, and a fuzz test calls every public name
+with malformed arguments.
 """
 
+import inspect
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import diaghooks
 from conftest import Index
 from diaghooks import (
     Abacus,
+    HookSide,
     Partition,
     beta_of,
     classify_p_hook,
     core_and_quotient,
+    core_counts,
     delta_concentrated_center,
     delta_concentrated_pair,
     delta_general,
@@ -28,24 +41,29 @@ from diaghooks import (
     is_concentrated,
     is_gamma_packed,
     is_p_core,
+    is_symmetric_p_core,
     is_symmetric_quotient,
     p_core,
     p_quotient,
+    quotient_of,
     render_ascii,
     residue_class,
     to_abacus,
 )
 from diaghooks.beta import BetaHook, BetaSet, remove_hook, young_hook
-from diaghooks.bisequence import Bisequence, QuotientEntry
+from diaghooks.bisequence import Bisequence, QuotientBisequence, QuotientEntry
 from diaghooks.errors import (
+    MAX_P,
     BadModulus,
     BadResidue,
+    DiagHookError,
     InternalInconsistency,
     InvalidBetaSet,
     InvalidDeltaSet,
     NonPositivePart,
     NotAPHook,
     NotStrictlyDecreasing,
+    TooFewBeads,
     WrongQuotientLength,
 )
 from diaghooks.formula import d0_shift, shift_sets
@@ -191,3 +209,180 @@ NOT_ITERABLE_CASES = {
 def test_a_non_iterable_sequence_raises_its_rules_error(call, error, shown):
     with pytest.raises(error, match=re.escape(shown)):
         call()
+
+
+HUGE = 10**30
+P_ABOVE = f"p={HUGE} is above {MAX_P}"
+
+SIZE_CASES = {
+    # each size-setting integer at 10**30: its rule's error, with a message that names the bound, before any layout
+    "p-p_core": (lambda: p_core(LA, HUGE), BadModulus, P_ABOVE),
+    "p-p_quotient": (lambda: p_quotient(LA, HUGE), BadModulus, P_ABOVE),
+    "p-core_and_quotient": (lambda: core_and_quotient(LA, HUGE), BadModulus, P_ABOVE),
+    "p-render_ascii": (lambda: render_ascii(LA, HUGE), BadModulus, P_ABOVE),
+    "p-is_p_core": (lambda: is_p_core(LA, HUGE), BadModulus, P_ABOVE),
+    "p-Abacus": (lambda: Abacus(HUGE, ()), BadModulus, P_ABOVE),
+    "p-is_symmetric_p_core": (lambda: is_symmetric_p_core(D, HUGE), BadModulus, P_ABOVE),
+    "p-quotient_of": (lambda: quotient_of(D, HUGE), BadModulus, P_ABOVE),
+    "p-is_gamma_packed": (lambda: is_gamma_packed(D, HUGE, 2), BadModulus, P_ABOVE),
+    "p-core_counts": (lambda: core_counts(CORE, HUGE), BadModulus, P_ABOVE),
+    "p-run_verify": (lambda: run_verify(3, (3, HUGE)), BadModulus, P_ABOVE),
+    "beads-beta_of": (lambda: beta_of(LA, HUGE), TooFewBeads, f"bead count in 6..{6 + MAX_P} for {LA}"),
+    "beads-to_abacus": (lambda: to_abacus(LA, 3, HUGE), TooFewBeads, f"bead count in 6..{6 + MAX_P} for {LA}"),
+    "steps-BetaSet.shifted": (lambda: BetaSet(()).shifted(HUGE), InvalidBetaSet, f"shift {HUGE} is above {MAX_P}"),
+    "d0-d0_shift": (lambda: d0_shift(QuotientEntry(), HUGE), InternalInconsistency, f"d0={HUGE} is above {MAX_P}"),
+    "d0-shift_sets": (lambda: shift_sets((), HUGE), InternalInconsistency, f"d0={HUGE} is above {MAX_P}"),
+    "n_max-run_verify": (lambda: run_verify(HUGE, (3,)), NonPositivePart, f"n_max must be an integer in 0..{MAX_P}"),
+    "n-enumerate_partitions-symmetric": (
+        lambda: next(enumerate_partitions(HUGE, symmetric_only=True)),
+        NonPositivePart,
+        f"cannot partition {HUGE} self-conjugately above {MAX_P}",
+    ),
+}
+
+AT_THE_BOUND = {
+    # the bound itself is a size the library takes; each of these calls is cheap there
+    "p-residue_class": lambda: residue_class(D, MAX_P, 2),
+    "p-is_p_core": lambda: is_p_core(LA, MAX_P),
+    "p-delta_concentrated_pair": lambda: delta_concentrated_pair(PAIR, 1, MAX_P),
+    "beads-beta_of": lambda: beta_of(LA, len(LA) + MAX_P),
+    "steps-BetaSet.shifted": lambda: BetaSet(()).shifted(MAX_P),
+    "n-enumerate_partitions-symmetric": lambda: next(enumerate_partitions(MAX_P, symmetric_only=True)),
+}
+
+SIZE_CHILD = """
+import json, resource, time
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))  # a size that escapes its rule fails here, not the host
+import test_boundary as t
+def outcome(call):
+    start = time.perf_counter()
+    try:
+        call()
+        got = None
+    except Exception as exc:
+        got = [type(exc).__name__, str(exc)]
+    return got, time.perf_counter() - start
+above = {name: outcome(call) for name, (call, _, _) in t.SIZE_CASES.items()}
+print(json.dumps({**above, **{"bound-" + name: outcome(call) for name, call in t.AT_THE_BOUND.items()}}))
+"""
+
+
+@pytest.fixture(scope="module")
+def size_outcomes() -> dict:
+    """Each size case's [error name, message] (None when accepted) and seconds, run in a child process whose
+    address space alone is capped at 1 GB, so a size that escapes its rule cannot take the host's memory."""
+    here = Path(__file__).resolve().parent
+    paths = [str(here), str(Path(diaghooks.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, "-c", SIZE_CHILD], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("name", SIZE_CASES)
+def test_a_size_above_the_bound_raises_its_rules_error_at_once(name, size_outcomes):
+    _, error, shown = SIZE_CASES[name]
+    got, seconds = size_outcomes[name]
+    assert issubclass(error, DiagHookError) and got is not None and got[0] == error.__name__, got
+    assert shown in got[1] and seconds < 1
+
+
+@pytest.mark.parametrize("name", AT_THE_BOUND)
+def test_a_size_at_the_bound_is_accepted(name, size_outcomes):
+    assert size_outcomes["bound-" + name][0] is None
+
+
+FUZZ_NAMES = tuple(name for name in diaghooks.__all__ if name != "DiagHookError")  # an error takes any arguments
+FUZZ_POOL = (5, None, 2.5, True, "ab", (), (-1,), ("a",), object(), b"\x01", HUGE)  # drawn into every slot
+Q5 = quotient_of(D, 5)
+FUZZ_VALID = {
+    # per parameter name, values that make a call of each function succeed; a defaulted parameter not named
+    # here keeps its default, and so do the ones after it (HookSide's functional-API arguments, VerifyReport's counters)
+    "la": (SC, LA, HOOK_LA),
+    "core": (CORE,),
+    "component": (PAIR,),
+    "quotient": (QUOTIENT,),
+    "p": (5, 3, 2),
+    "g": (1, 2),
+    "d": (D,),
+    "residues": ((2, 4),),
+    "x": (HOOK_BEADS, to_abacus(HOOK_LA, 5).beads),
+    "hook": (HOOK,),
+    "entry": (ENTRY,),
+    "q": (Q5,),
+    "entries": (Q5.entries,),
+    "d0": (2,),
+    "legs": ((3, 0),),
+    "arms": ((2, 1),),
+    "lengths": ((15, 9, 5, 1),),
+    "parts": ((3, 1),),
+    "beads": ((0, 2, 3), HOOK_BEADS),
+    "n": (6,),
+    "symmetric_only": (False,),
+    "n_max": (4,),
+    "moduli": ((3, 5),),
+    "k": (8,),
+    "bead_count": (10,),
+    "i": (1,),
+    "j": (2,),
+    "value": ("right",),
+    "values": ("right",),  # HookSide's one argument from Python 3.12 on
+}
+LIBRARY_OBJECTS = {
+    # README's contract: a slot documented as one of these objects may raise TypeError or AttributeError on another
+    "la": Partition,
+    "core": Partition,
+    "component": Partition,
+    "x": BetaSet,
+    "hook": BetaHook,
+    "d": Bisequence,
+    "entry": QuotientEntry,
+    "q": QuotientBisequence,
+}
+LIBRARY_OBJECT_ITEMS = {"quotient": Partition, "entries": QuotientEntry}  # a sequence of such objects
+
+
+def _off_contract(args: list[tuple[str, object]]) -> bool:
+    """True when some slot documented as a library object holds another object."""
+    for name, value in args:
+        if name in LIBRARY_OBJECTS and not isinstance(value, LIBRARY_OBJECTS[name]):
+            return True
+        if name in LIBRARY_OBJECT_ITEMS:
+            try:
+                items = tuple(value)
+            except TypeError:
+                return True
+            if not all(isinstance(item, LIBRARY_OBJECT_ITEMS[name]) for item in items):
+                return True
+    return False
+
+
+@st.composite
+def public_calls(draw):
+    """A public name and (parameter name, value) pairs for its leading positional parameters: each one that has
+    no default or that FUZZ_VALID names, from the pool or, half the time where one is known, a valid value."""
+    name = draw(st.sampled_from(FUZZ_NAMES))
+    args = []
+    for param in inspect.signature(getattr(diaghooks, name)).parameters.values():
+        positional = param.kind in (param.POSITIONAL_OR_KEYWORD, param.VAR_POSITIONAL)  # HookSide is (*values) on 3.12+
+        if not positional or param.default is not param.empty and param.name not in FUZZ_VALID:
+            break
+        valid = FUZZ_VALID.get(param.name, FUZZ_POOL)
+        args.append((param.name, draw(st.sampled_from(FUZZ_POOL) | st.sampled_from(valid))))
+    return name, args
+
+
+@settings(max_examples=400, deadline=None)
+@given(public_calls())
+def test_a_public_call_gives_a_result_or_a_typed_error(call):
+    name, args = call
+    try:
+        result = getattr(diaghooks, name)(*(value for _, value in args))
+        if inspect.isgenerator(result):  # a stream: its first item, as listing enumerate_partitions(10**30) never ends
+            next(result, None)
+    except DiagHookError:
+        pass
+    except (TypeError, AttributeError):
+        assert _off_contract(args), (name, args)
+    except ValueError:
+        assert getattr(diaghooks, name) is HookSide, (name, args)

@@ -48,3 +48,9 @@ def test_checks_no_input_can_reach_are_gone():
     # unquotient's sides (each residue and row gives one value): the one raise left of each is an input rule
     sites = raise_sites()
     assert (sites["InconsistentQuotient"], sites["InternalInconsistency"]) == (1, 1)
+
+
+def test_the_modulus_rule_has_no_second_copy():
+    # errors.require_modulus (p in 2..MAX_P), the Abacus bead count that is no multiple of p, run_verify's empty
+    # moduli and the CLI's verify work bound: the command line reads p through require_modulus, not a check of its own
+    assert raise_sites()["BadModulus"] == 4
