@@ -119,9 +119,10 @@ def is_symmetric_quotient(quotient: Sequence[Partition], p: int | None = None) -
     quotient = _items(quotient)
     if p is not None:
         _require_components(quotient, require_modulus(p))
-    # Conjugation is an involution, so the first half of the pairs decides; two empty components agree.
+    # Conjugation is an involution, so the first half of the pairs decides; two empty components agree. A conjugate
+    # has as many rows as its mirror's first part, so that count decides a mismatch before `_columns` walks a column.
     pairs = zip(quotient[: (len(quotient) + 1) // 2], reversed(quotient))
-    return all(a.parts == _columns(b.parts) for a, b in pairs if a.parts or b.parts)
+    return all(b.parts[:1] == (len(a.parts),) and a.parts == _columns(b.parts) for a, b in pairs if a.parts or b.parts)
 
 
 def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: int) -> Partition:

@@ -9,6 +9,7 @@ by storing 2*theta (an odd integer) instead of the half-integer theta.
 
 import functools
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .bisequence import Bisequence
@@ -145,15 +146,12 @@ def _hook_ends(x: BetaSet, hook: BetaHook) -> tuple[int, int]:
 def young_hook(x: BetaSet, hook: BetaHook) -> Hook:
     """Young-diagram corner, arm and leg of a bead-set hook.
 
-    Row = beads at or above x, column = spaces at or below y, leg = beads
-    strictly between, arm = spaces strictly between.
+    Row = beads at or above x, column = spaces at or below y, leg = beads and arm = spaces strictly between.
     """
     y, b = _hook_ends(x, hook)
-    row = sum(1 for z in x.beads if z >= b)
-    col = sum(1 for z in range(y + 1) if z not in x)
-    leg = sum(1 for z in x.beads if y < z < b)
-    arm = b - y - 1 - leg
-    return Hook(row=row, col=col, arm=arm, leg=leg)
+    at_y, below_b = bisect_right(x.beads, y), bisect_left(x.beads, b)  # counts on the sorted beads, at any y
+    leg = below_b - at_y
+    return Hook(row=len(x.beads) - below_b, col=y + 1 - at_y, arm=b - y - 1 - leg, leg=leg)
 
 
 def remove_hook(x: BetaSet, hook: BetaHook) -> BetaSet:

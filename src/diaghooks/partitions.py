@@ -73,8 +73,8 @@ class Partition:
 
     @property
     def is_symmetric(self) -> bool:
-        """True when the partition equals its conjugate."""
-        return self.parts == _columns(self.parts)
+        """True when the partition equals its conjugate; a length other than the first part decides at once."""
+        return len(self.parts) == (self.parts or (0,))[0] and self.parts == _columns(self.parts)
 
 
 _EMPTY = Partition(())  # shared by the parser and the readers for each empty component; frozen, so safe to share

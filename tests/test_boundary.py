@@ -5,7 +5,8 @@ gives the result of the plain int, and a non-integer modulus is refused with
 BadModulus before anything else runs. A shift amount, the legs it shifts and
 the ends of a hook follow the same integer rule. Every integer that sets a
 size has one bound, `errors.MAX_P`, and a fuzz test calls every public name
-with malformed arguments.
+with malformed arguments. A check or reading decided by counts it already has
+answers at once even when a part is 10**30.
 """
 
 import inspect
@@ -63,11 +64,12 @@ from diaghooks.errors import (
     NonPositivePart,
     NotAPHook,
     NotStrictlyDecreasing,
+    NotSymmetricQuotient,
     TooFewBeads,
     WrongQuotientLength,
 )
 from diaghooks.formula import d0_shift, shift_sets
-from diaghooks.partitions import DeltaSet, from_frobenius
+from diaghooks.partitions import DeltaSet, Hook, from_frobenius
 from diaghooks.verify import run_verify
 
 
@@ -250,27 +252,45 @@ AT_THE_BOUND = {
     "n-enumerate_partitions-symmetric": lambda: next(enumerate_partitions(MAX_P, symmetric_only=True)),
 }
 
+LONG_MIRROR = [Partition(()), Partition((HUGE,))]  # the conjugate of (10**30,) has 10**30 rows, not none
+ANSWERED_AT_ONCE = {
+    # a part of 10**30 where a check or reading is decided by a length, a first part or a count on sorted beads:
+    # its answer (a value, or the error class it raises) at once, where a walk as long as the part never ends
+    "guard-delta_general": (lambda: delta_general(Partition(), LONG_MIRROR, 2), NotSymmetricQuotient),
+    "guard-is_symmetric_quotient": (lambda: is_symmetric_quotient(LONG_MIRROR, 2), False),
+    "Partition.is_symmetric": (lambda: Partition((HUGE,)).is_symmetric, False),
+    "young_hook": (lambda: young_hook(BetaSet((HUGE,)), BetaHook(HUGE - 1, HUGE)), Hook(row=1, col=HUGE, arm=0, leg=0)),
+}
+
 SIZE_CHILD = """
-import json, resource, time
+import json, resource, signal, time
 resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))  # a size that escapes its rule fails here, not the host
+def out_of_time(signum, frame):
+    raise TimeoutError("no answer in 5 s")
+signal.signal(signal.SIGALRM, out_of_time)  # a walk that allocates nothing fails its own case, not the whole child
 import test_boundary as t
-def outcome(call):
+def outcome(call, shown=lambda result: None):
     start = time.perf_counter()
+    signal.alarm(5)
     try:
-        call()
-        got = None
+        got = shown(call())
     except Exception as exc:
         got = [type(exc).__name__, str(exc)]
+    finally:
+        signal.alarm(0)
     return got, time.perf_counter() - start
 above = {name: outcome(call) for name, (call, _, _) in t.SIZE_CASES.items()}
-print(json.dumps({**above, **{"bound-" + name: outcome(call) for name, call in t.AT_THE_BOUND.items()}}))
+bound = {"bound-" + name: outcome(call) for name, call in t.AT_THE_BOUND.items()}
+print(json.dumps({**above, **bound, **{name: outcome(call, repr) for name, (call, _) in t.ANSWERED_AT_ONCE.items()}}))
 """
 
 
 @pytest.fixture(scope="module")
 def size_outcomes() -> dict:
-    """Each size case's [error name, message] (None when accepted) and seconds, run in a child process whose
-    address space alone is capped at 1 GB, so a size that escapes its rule cannot take the host's memory."""
+    """Each size case's [error name, message] (None when accepted; the result's repr for an answered-at-once case)
+    and seconds, run in a child process whose address space alone is capped at 1 GB, so a size that escapes its rule
+    cannot take the host's memory, and whose calls each have 5 s, so a walk that allocates nothing fails only its own
+    case (with TimeoutError)."""
     here = Path(__file__).resolve().parent
     paths = [str(here), str(Path(diaghooks.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -290,6 +310,17 @@ def test_a_size_above_the_bound_raises_its_rules_error_at_once(name, size_outcom
 @pytest.mark.parametrize("name", AT_THE_BOUND)
 def test_a_size_at_the_bound_is_accepted(name, size_outcomes):
     assert size_outcomes["bound-" + name][0] is None
+
+
+@pytest.mark.parametrize("name", ANSWERED_AT_ONCE)
+def test_a_part_of_10_30_is_answered_from_counts_at_once(name, size_outcomes):
+    _, expected = ANSWERED_AT_ONCE[name]
+    got, seconds = size_outcomes[name]
+    if isinstance(expected, type):
+        assert isinstance(got, list) and got[0] == expected.__name__, got
+    else:
+        assert got == repr(expected), got
+    assert seconds < 1
 
 
 FUZZ_NAMES = tuple(name for name in diaghooks.__all__ if name != "DiagHookError")  # an error takes any arguments

@@ -2,16 +2,19 @@
 
 Each reference is the loop as it read before parsing, validation and the bead
 encodings moved into `map`, `filter`, `min` and `str` methods, before the
-rebuild moved only the beads of non-empty components, or before the formula's
-pair loop wrote hook lengths through a trusted shift; a result must be the
-same value, and a refusal the same exception type and message.
+rebuild moved only the beads of non-empty components, before the formula's
+pair loop wrote hook lengths through a trusted shift, or before `young_hook`
+counted on the sorted beads; a result must be the same value, and a refusal
+the same exception type and message. The conjugacy tests, which now compare a
+length with a first part before reading columns, are checked against the
+column reading alone.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Index, bead_sets, partitions
+from conftest import Index, bead_sets, partitions, symmetric_up_to
 from diaghooks import cli
 from diaghooks.abacus import (
     _canonical_bead_count,
@@ -23,7 +26,7 @@ from diaghooks.abacus import (
     p_core,
     to_abacus,
 )
-from diaghooks.beta import BetaSet, _beads, _parts, beta_of, partition_of
+from diaghooks.beta import BetaSet, _beads, _parts, beta_of, hooks_of, partition_of, young_hook
 from diaghooks.bisequence import QuotientEntry
 from diaghooks.cli import parse_partition
 from diaghooks.errors import (
@@ -44,6 +47,7 @@ from diaghooks.formula import d0_shift, delta_concentrated_center, delta_concent
 from diaghooks.partitions import (
     _EMPTY,
     DeltaSet,
+    Hook,
     Partition,
     _columns,
     _frobenius,
@@ -126,6 +130,15 @@ def reference_is_symmetric_quotient(quotient) -> bool:
     return all(quotient[g].parts == _columns(quotient[n - 1 - g].parts) for g in range((n + 1) // 2))
 
 
+def reference_young_hook(x: BetaSet, hook) -> Hook:
+    y, b = hook.y, hook.x
+    row = sum(1 for z in x.beads if z >= b)
+    col = sum(1 for z in range(y + 1) if z not in x)
+    leg = sum(1 for z in x.beads if y < z < b)
+    arm = b - y - 1 - leg
+    return Hook(row=row, col=col, arm=arm, leg=leg)
+
+
 TOKEN_TEXT = st.text(alphabet=",^ 0123456789²３a", max_size=8)
 LONG_DIGITS = st.sampled_from(["1" * 4300, "1" * 4301, "0" * 4301, "2^" + "1" * 4301])
 PARSER_TEXT = st.lists(st.one_of(TOKEN_TEXT, TOKEN_TEXT, LONG_DIGITS), max_size=6).map(",".join)
@@ -199,17 +212,45 @@ def test_core_of_reads_one_long_runner(p):
 COMPONENT = partitions(max_part=3, max_rows=3)
 
 
+def one_dimension_off(draw, la: Partition) -> Partition:
+    """la with one more row of 1 or one more cell in its first row: its length or first part no longer its mirror's."""
+    parts = la.parts or (0,)
+    return Partition(draw(st.sampled_from([la.parts + (1,), (parts[0] + 1,) + parts[1:]])))
+
+
 @given(st.lists(st.one_of(st.just(_EMPTY), COMPONENT), min_size=1, max_size=7), st.data())
 def test_symmetric_quotient_verdict_matches_the_pair_loop(components, data):
     n = len(components)
-    if data.draw(st.booleans()):  # mirror the first half in half the draws, so that True verdicts occur
+    mirrored = data.draw(st.sampled_from(["no", "yes", "yes, then one component one dimension off"]))
+    if mirrored != "no":  # mirror the first half in most draws, so that True verdicts occur
         for g in range(n // 2):
             components[n - 1 - g] = Partition(_columns(components[g].parts))
+    if mirrored.startswith("yes, then"):  # a mismatch a length and a first part decide, before any column
+        g = data.draw(st.integers(0, n - 1))
+        components[g] = one_dimension_off(data.draw, components[g])
     quotient = tuple(components)
     expected = reference_is_symmetric_quotient(quotient)
     assert is_symmetric_quotient(quotient) == expected
     if n >= 2:
         assert is_symmetric_quotient(quotient, n) == expected
+
+
+@st.composite
+def near_symmetric(draw) -> Partition:
+    """A non-empty self-conjugate partition with a row of 1 or a first-row cell added: length and first part differ."""
+    return one_dimension_off(draw, draw(st.sampled_from(symmetric_up_to(16)[1:])))
+
+
+@given(st.one_of(partitions(), st.sampled_from(symmetric_up_to(16)), near_symmetric()))
+def test_is_symmetric_matches_the_column_reading(la):
+    assert la.is_symmetric == (la.parts == _columns(la.parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bead_sets())
+def test_young_hook_counts_match_the_sums(x):
+    for hook in hooks_of(x):
+        assert young_hook(x, hook) == reference_young_hook(x, hook)
 
 
 LONG_COMPONENT = st.one_of(st.just(_EMPTY), partitions(max_part=3, max_rows=3), partitions(max_part=2, max_rows=12))
