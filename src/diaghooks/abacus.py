@@ -114,6 +114,11 @@ def _require_components(quotient: Sequence[Partition], p: int) -> None:
         raise WrongQuotientLength(f"expected {p} components, got {len(quotient)}")
 
 
+def _require_core(core: Partition, p: int) -> None:
+    if not is_p_core(core, p):
+        raise NotACore(f"{core} has a hook of length {p}")
+
+
 def is_symmetric_quotient(quotient: Sequence[Partition], p: int | None = None) -> bool:
     """True when component g is the conjugate of component p-1-g for every g."""
     quotient = _items(quotient)
@@ -138,8 +143,7 @@ def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: in
     p = require_modulus(p)
     quotient = _items(quotient)
     _require_components(quotient, p)
-    if not is_p_core(core, p):
-        raise NotACore(f"{core} has a hook of length {p}")
+    _require_core(core, p)
     return _rebuild(core, quotient, p)
 
 

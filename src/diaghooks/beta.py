@@ -7,7 +7,6 @@ right with a bead pushed in at the origin. All axis arithmetic is kept exact
 by storing 2*theta (an odd integer) instead of the half-integer theta.
 """
 
-import functools
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -32,12 +31,8 @@ class BetaSet:
         if not all(map(operator.lt, beads, beads[1:])):
             raise InvalidBetaSet(f"duplicate bead position {next(a for a, b in zip(beads, beads[1:]) if a == b)}")
 
-    @functools.cached_property
-    def _members(self) -> frozenset[int]:  # built on the first `in`, which no reader or rebuild asks
-        return frozenset(self.beads)
-
-    def __contains__(self, pos: int) -> bool:
-        return pos in self._members
+    def __contains__(self, pos: int) -> bool:  # `_as_int` reads a bool or a non-integer as -1, which no bead is
+        return bisect_left(self.beads, n := _as_int(pos)) < bisect_right(self.beads, n)
 
     def __len__(self) -> int:
         return len(self.beads)

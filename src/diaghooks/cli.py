@@ -182,8 +182,9 @@ def cmd_render(args) -> int:
 def cmd_verify(args) -> int:
     if args.n_max > MAX_N_MAX:
         raise BadPartitionSyntax(f"--n-max {args.n_max} is above {MAX_N_MAX}")
-    if args.n_max * sum(args.moduli) > MAX_N_MAX * 1000:  # a cell's abacus has at most n + p beads
-        raise BadModulus(f"--n-max {args.n_max} times the --primes sum {sum(args.moduli)} is above {MAX_N_MAX * 1000}")
+    # a cell's abacus has at most n + p beads, and run_verify checks each distinct modulus once
+    if args.n_max * (total := sum(set(args.moduli))) > MAX_N_MAX * 1000:
+        raise BadModulus(f"--n-max {args.n_max} times the --primes sum {total} is above {MAX_N_MAX * 1000}")
     report = run_verify(args.n_max, args.moduli)
     if args.json:
         print(json.dumps({

@@ -10,14 +10,13 @@ that loop; the tests confirm it against the diagram reading `partitions.diagonal
 from dataclasses import dataclass
 from typing import Sequence
 
-from .abacus import is_p_core, is_symmetric_quotient
+from .abacus import _require_core, is_symmetric_quotient
 from .bisequence import QuotientEntry
 from .errors import (
     MAX_P,
     CenterResidue,
     EvenModulus,
     InternalInconsistency,
-    NotACore,
     NotSymmetricQuotient,
     _as_int,
     _items,
@@ -59,8 +58,7 @@ def core_counts(core: Partition, p: int) -> CoreCounts:
 def _core_d0(core: Partition, p: int) -> tuple[int, ...]:
     """d0 as plain counts, for a checked modulus p; raises unless the core is a symmetric p-core."""
     arms = _self_conjugate_arms(core)
-    if not is_p_core(core, p):
-        raise NotACore(f"{core} has a hook of length {p}")
+    _require_core(core, p)
     return tuple(map(len, _rows(arms, p)))
 
 

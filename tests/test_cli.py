@@ -229,11 +229,11 @@ class TestDeltaCommand:
         ["delta", "--core", "1", *["--quotient", ""] * 997, "--p", "997", "--method", "both"],
     ], ids=["p3", "p997"])
     def test_checks_the_pair_once_per_line(self, argv, count_calls, capsys):
-        core_checks = [count_calls(formula, "is_p_core"), count_calls(abacus, "is_p_core")]
+        core_checks = count_calls(abacus, "is_p_core")  # the formula's guard looks it up in abacus
         symmetry_checks = count_calls(formula, "is_symmetric_quotient")
         assert main(argv) == 0
         assert "verdict: AGREE" in capsys.readouterr().out
-        assert sum(map(len, core_checks)) == 1
+        assert len(core_checks) == 1
         assert len(symmetry_checks) == 1
 
 
@@ -352,6 +352,21 @@ class TestVerifyCommand:
         assert main(["verify", "--n-max", "120", "--primes", "3,5,7"]) == 0
         assert main(["verify", "--n-max", "20", "--primes", "997"]) == 0
         assert calls == [(120, [3, 5, 7]), (20, [997])]
+
+    def test_work_bound_counts_each_modulus_once(self, capsys, monkeypatch):
+        # run_verify checks a repeated modulus once, so the bound sums the distinct --primes
+        calls = []
+
+        def report(n_max, moduli):
+            calls.append((n_max, moduli))
+            return VerifyReport(n_max, (997,))
+
+        monkeypatch.setattr(cli, "run_verify", report)
+        assert main(["verify", "--n-max", "120", "--primes", "997,997"]) == 0
+        assert main(["verify", "--n-max", "120", "--primes", "997,499,997"]) == 3
+        out, err = capsys.readouterr()
+        assert err == "error: BadModulus: --n-max 120 times the --primes sum 1496 is above 120000\n"
+        assert calls == [(120, [997, 997])]
 
     def test_parses_primes_once(self, count_calls, capsys):
         parses = count_calls(cli, "parse_int_list")

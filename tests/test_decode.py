@@ -68,13 +68,10 @@ class TestMembershipSet:
         core_and_quotient(Partition((4, 1, 1, 1)), 3)
         assert built == []  # no bead set, so no membership set either
 
-    def test_built_on_first_use_and_kept(self):
+    def test_answered_from_the_sorted_beads_alone(self):
         x = BetaSet((5, 0, 2))
-        assert "_members" not in vars(x)
-        assert 2 in x and 1 not in x
-        assert vars(x)["_members"] == frozenset((0, 2, 5))
-        members = x._members
-        assert 5 in x and x._members is members
+        assert 2 in x and 1 not in x and 5 in x
+        assert vars(x) == {"beads": (0, 2, 5)}  # no second copy of the beads is kept
         assert x == BetaSet((0, 2, 5)) and hash(x) == hash(BetaSet((0, 2, 5)))
 
     @pytest.mark.parametrize("beads, message", [

@@ -15,7 +15,7 @@ from diaghooks.errors import (
     NotSymmetricQuotient,
     WrongQuotientLength,
 )
-from diaghooks import bisequence, formula, partitions
+from diaghooks import abacus, bisequence, formula, partitions
 from diaghooks.formula import (
     core_counts,
     d0_shift,
@@ -293,10 +293,11 @@ class TestOneRunnerPairLoop:
 
     @pytest.mark.parametrize("core", [P(()), from_delta_lengths(CORE_DELTA)], ids=["empty", "weight-514"])
     def test_validates_quotient_and_core_once(self, monkeypatch, core):
-        calls = {"is_symmetric_quotient": 0, "is_p_core": 0}
+        owners = {"is_symmetric_quotient": formula, "is_p_core": abacus}  # where the guard looks each check up
+        calls = dict.fromkeys(owners, 0)
 
         def counting(name):
-            inner = getattr(formula, name)
+            inner = getattr(owners[name], name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -304,8 +305,8 @@ class TestOneRunnerPairLoop:
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(formula, name, counting(name))
+        for name, owner in owners.items():
+            monkeypatch.setattr(owner, name, counting(name))
         delta_general(core, QUOTIENT_190, 5)
         assert calls == {"is_symmetric_quotient": 1, "is_p_core": 1}
 

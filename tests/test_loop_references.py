@@ -7,7 +7,8 @@ pair loop wrote hook lengths through a trusted shift, or before `young_hook`
 counted on the sorted beads; a result must be the same value, and a refusal
 the same exception type and message. The conjugacy tests, which now compare a
 length with a first part before reading columns, are checked against the
-column reading alone.
+column reading alone. A bead set's `in`, which now bisects its sorted beads,
+is checked against a set of them, read under the integer rule.
 """
 
 import pytest
@@ -251,6 +252,17 @@ def test_is_symmetric_matches_the_column_reading(la):
 def test_young_hook_counts_match_the_sums(x):
     for hook in hooks_of(x):
         assert young_hook(x, hook) == reference_young_hook(x, hook)
+
+
+def reference_contains(x: BetaSet, pos) -> bool:
+    return _as_int(pos) in frozenset(x.beads)
+
+
+@given(bead_sets())
+def test_membership_matches_the_set(x):
+    positions = range(-2, x.max_bead + 3)
+    for pos in (*positions, *map(Index, positions), True, False, 1.0, "a", None):
+        assert (pos in x) == reference_contains(x, pos), pos
 
 
 LONG_COMPONENT = st.one_of(st.just(_EMPTY), partitions(max_part=3, max_rows=3), partitions(max_part=2, max_rows=12))

@@ -4,7 +4,14 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import diaghooks
+from diaghooks import abacus
+from diaghooks.abacus import from_core_and_quotient
+from diaghooks.errors import NotACore
+from diaghooks.formula import core_counts, delta_general
+from diaghooks.partitions import _EMPTY, Partition
 
 SINGLE_SITE_RULES = (
     "BadResidue",
@@ -13,6 +20,7 @@ SINGLE_SITE_RULES = (
     "LengthMismatch",
     "WrongQuotientLength",
     "TooFewBeads",
+    "NotACore",
 )
 
 
@@ -30,6 +38,19 @@ def raise_sites() -> Counter:
 def test_each_input_rule_has_one_raise_site():
     sites = raise_sites()
     assert {name: sites[name] for name in SINGLE_SITE_RULES} == dict.fromkeys(SINGLE_SITE_RULES, 1)
+
+
+def test_every_core_check_reads_the_one_rule(monkeypatch):
+    # a symmetric 5-core and five empty components pass every check, so only the patched core test refuses them
+    core = Partition((2, 1))
+    monkeypatch.setattr(abacus, "is_p_core", lambda la, p: False)
+    refusals = []
+    for call in (lambda: delta_general(core, [_EMPTY] * 5, 5), lambda: core_counts(core, 5),
+                 lambda: from_core_and_quotient(core, [_EMPTY] * 5, 5)):
+        with pytest.raises(NotACore) as info:
+            call()
+        refusals.append(str(info.value))
+    assert refusals == ["(2,1) has a hook of length 5"] * 3
 
 
 def test_boundary_checks_are_assigned():

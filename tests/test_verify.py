@@ -50,7 +50,7 @@ def test_partition_only_values_are_read_once_per_partition(count_calls):
 
 
 def test_each_cell_checks_its_core_twice(count_calls):
-    core_checks = [count_calls(owner, "is_p_core") for owner in (verify, formula, abacus)]
+    core_checks = [count_calls(owner, "is_p_core") for owner in (verify, abacus)]  # the formula's guard reads abacus
     report = run_verify(12, (3, 5, 7))
     assert report.ok
     # the formula's guard and the direct core-criterion test; the rebuild repeats neither
