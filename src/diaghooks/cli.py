@@ -36,8 +36,8 @@ def parse_partition(text: str) -> Partition:
     if not text:
         return _EMPTY
     tokens = text.split(",")
-    stripped = list(map(str.strip, tokens))
-    if _all_digits(stripped) and sum(ints := tuple(map(int, stripped))) + ints.count(0) <= MAX_PARTS:
+    stripped = tokens if (clean := _all_digits(tokens)) else list(map(str.strip, tokens))  # strip a refused line only
+    if (clean or _all_digits(stripped)) and sum(ints := tuple(map(int, stripped))) + ints.count(0) <= MAX_PARTS:
         return Partition(ints)  # no exponent and within the bound: one int pass; the loop reports every refusal
     parts: list[int] = []
     cells = pos = 0

@@ -23,7 +23,7 @@ from .errors import (
     require_modulus,
     require_residue,
 )
-from .partitions import _EMPTY, DeltaSet, Partition, _check_descending, _frobenius, _rows, _self_conjugate_arms
+from .partitions import _EMPTY, DeltaSet, Partition, _check_descending, _frobenius, _self_conjugate_arms
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,13 @@ def core_counts(core: Partition, p: int) -> CoreCounts:
 
 
 def _core_d0(core: Partition, p: int) -> tuple[int, ...]:
-    """d0 as plain counts, for a checked modulus p; raises unless the core is a symmetric p-core."""
+    """d0 as the core's diagonal arms counted by residue, for a checked modulus p; raises unless a symmetric p-core."""
     arms = _self_conjugate_arms(core)
     _require_core(core, p)
-    return tuple(map(len, _rows(arms, p)))
+    d0 = [0] * p
+    for a in arms:
+        d0[a % p] += 1
+    return tuple(d0)
 
 
 def shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -7,6 +7,7 @@ formula is checked against the diagram at weights up to 40,000.
 """
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -38,13 +39,14 @@ class Partition:
     def __post_init__(self):
         given = _items(self.parts)
         parts = _ints(given)
-        if parts and min(parts) < 1:  # builtin passes decide; the loops only find what the message shows
-            k = next(k for k, part in enumerate(parts) if part < 1)
-            raise NonPositivePart(f"part #{k + 1} is {given[k]!r}, must be an integer >= 1")
-        object.__setattr__(self, "parts", parts)
-        if not all(map(operator.ge, parts, parts[1:])):
+        # one sort test decides, and the last part of a descending tuple is its least; the rest only finds what is shown
+        if list(parts) != sorted(parts, reverse=True) or parts and parts[-1] < 1:
+            if parts and min(parts) < 1:  # a part below 1 is named before a rise
+                k = next(k for k, part in enumerate(parts) if part < 1)
+                raise NonPositivePart(f"part #{k + 1} is {given[k]!r}, must be an integer >= 1")
             a, b = next((a, b) for a, b in zip(parts, parts[1:]) if b > a)
             raise NonMonotonic(f"parts must be weakly decreasing, found {a} before {b}")
+        object.__setattr__(self, "parts", parts)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -92,16 +94,14 @@ def _columns(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _frobenius(la: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Legs la'_i - i and arms la_i - i of la's diagonal hooks, largest first, in one walk down the rows."""
+    """Legs la'_i - i and arms la_i - i of la's diagonal hooks, largest first, one bisection of the rows per leg."""
     parts = la.parts
+    up, n = parts[::-1], len(parts)  # ascending: the rows shorter than i are its first bisect_left(up, i)
     legs, arms = [], []
-    j = len(parts) - 1
     for i, part in enumerate(parts, start=1):
         if part < i:  # past the Durfee square
             break
-        while parts[j] < i:
-            j -= 1
-        legs.append(j + 1 - i)
+        legs.append(n - bisect_left(up, i) - i)
         arms.append(part - i)
     return tuple(legs), tuple(arms)
 
@@ -115,7 +115,7 @@ def _rows(beads: Iterable[int], p: int) -> list[list[int]]:
 
 
 def _self_conjugate_arms(la: Partition) -> tuple[int, ...]:
-    """la's diagonal arms, from one Frobenius walk; raises NotSymmetric unless la is self-conjugate."""
+    """la's diagonal arms, from one Frobenius reading; raises NotSymmetric unless la is self-conjugate."""
     legs, arms = _frobenius(la)
     if legs != arms:
         raise NotSymmetric(f"{la} is not self-conjugate")

@@ -23,7 +23,7 @@ from diaghooks.errors import (
     NotStrictlyDecreasing,
     NotSymmetricBisequence,
 )
-from diaghooks.partitions import Partition, from_delta_lengths
+from diaghooks.partitions import Partition, _rows, from_delta_lengths
 
 P = Partition
 
@@ -279,18 +279,20 @@ class TestIntegerRule:
 
 class TestOneBucketingRule:
     def test_every_residue_split_goes_through_rows(self, count_calls):
-        assert abacus._rows is bisequence._rows is formula._rows
+        assert abacus._rows is bisequence._rows
         core = from_delta_lengths(CORE_DELTA)
         d = diagonal_bisequence(core)
         for owner, call, expected in (
             (bisequence, lambda: quotient_of(d, 5), 2),
             (bisequence, lambda: is_symmetric_p_core(d, 5), 1),
             (bisequence, lambda: is_gamma_packed(d, 5, 4), 1),
-            (formula, lambda: formula.core_counts(core, 5), 1),
         ):
             calls = count_calls(owner, "_rows")
             call()
             assert len(calls) == expected
+        # d0 counts the core's arms by residue with no row lists; the counts are the lengths of _rows' lists
+        arms = tuple((length - 1) // 2 for length in CORE_DELTA)
+        assert formula.core_counts(core, 5).d0 == tuple(map(len, _rows(arms, 5)))
 
     @pytest.mark.parametrize("p", [97, 997])
     def test_core_criterion_at_large_p(self, p):

@@ -3,24 +3,30 @@
 Each reference is the loop as it read before parsing, validation and the bead
 encodings moved into `map`, `filter`, `min` and `str` methods, before the
 rebuild moved only the beads of non-empty components, before the formula's
-pair loop wrote hook lengths through a trusted shift, or before `young_hook`
-counted on the sorted beads; a result must be the same value, and a refusal
-the same exception type and message. The conjugacy tests, which now compare a
-length with a first part before reading columns, are checked against the
-column reading alone. A bead set's `in`, which now bisects its sorted beads,
+pair loop wrote hook lengths through a trusted shift, before `young_hook`
+counted on the sorted beads, before `_frobenius` took each leg by bisection,
+before `_core_d0` counted arms by residue in place of taking the lengths of
+`_rows`' lists, or before a checked `Partition` decided by one sort test and
+the parser stripped only a refused line; a result must be the same value, and
+a refusal the same exception type and message. The conjugacy tests, which now
+compare a length with a first part before reading columns, are checked against
+the column reading alone. A bead set's `in`, which now bisects its sorted beads,
 is checked against a set of them, read under the integer rule.
 """
+
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Index, bead_sets, partitions, symmetric_up_to
+from conftest import Index, bead_sets, partitions, partitions_up_to, symmetric_up_to
 from diaghooks import cli
 from diaghooks.abacus import (
     _canonical_bead_count,
     _core_of,
     _rebuild,
+    _require_core,
     core_and_quotient,
     is_p_core,
     is_symmetric_quotient,
@@ -44,7 +50,14 @@ from diaghooks.errors import (
     require_modulus,
     require_residue,
 )
-from diaghooks.formula import d0_shift, delta_concentrated_center, delta_concentrated_pair, delta_general, shift_sets
+from diaghooks.formula import (
+    _core_d0,
+    d0_shift,
+    delta_concentrated_center,
+    delta_concentrated_pair,
+    delta_general,
+    shift_sets,
+)
 from diaghooks.partitions import (
     _EMPTY,
     DeltaSet,
@@ -99,6 +112,26 @@ def reference_partition_parts(given: tuple) -> tuple[int, ...]:
         if b > a:
             raise NonMonotonic(f"parts must be weakly decreasing, found {a} before {b}")
     return parts
+
+
+def reference_frobenius(la: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    parts = la.parts
+    legs, arms = [], []
+    j = len(parts) - 1
+    for i, part in enumerate(parts, start=1):
+        if part < i:
+            break
+        while parts[j] < i:
+            j -= 1
+        legs.append(j + 1 - i)
+        arms.append(part - i)
+    return tuple(legs), tuple(arms)
+
+
+def reference_core_d0(core: Partition, p: int) -> tuple[int, ...]:
+    arms = _self_conjugate_arms(core)
+    _require_core(core, p)
+    return tuple(map(len, _rows(arms, p)))
 
 
 def reference_beads(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -162,6 +195,33 @@ def test_parse_partition_matches_the_token_loop_at_the_bounds(monkeypatch, text)
     assert outcome(parse_partition, text) == outcome(reference_parse_partition, text)
 
 
+@st.composite
+def long_runs(draw) -> tuple[int, ...]:
+    """Up to 25 runs of equal parts, in all up to 3,000 rows: the shape of a large-p `core` query line."""
+    values = sorted(draw(st.sets(st.integers(1, 3000), max_size=25)), reverse=True)
+    counts = draw(st.lists(st.integers(1, 120), min_size=len(values), max_size=len(values)))
+    return tuple(v for v, c in zip(values, counts) for _ in range(c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    long_runs(),
+    st.sampled_from([",", ", ", " , "]),
+    st.booleans(),
+    st.sampled_from([None, "0", "rise", "-1", "1^2", "３", "", " "]),
+    st.sampled_from([10**6, 5000]),
+)
+def test_parse_partition_matches_the_token_loop_on_long_lines(parts, sep, as_runs, last, bound):
+    # spaced and unspaced lines, with exponents or not, whose only fault, if any, is the last token
+    tokens = [f"{v}^{len(list(run))}" for v, run in groupby(parts)] if as_runs else list(map(str, parts))
+    if last is not None:
+        tokens.append(str((parts or (0,))[-1] + 1) if last == "rise" else last)
+    text = " " + sep.join(tokens) + " "
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "MAX_PARTS", bound)
+        assert outcome(parse_partition, text) == outcome(reference_parse_partition, text)
+
+
 PART = st.one_of(
     st.integers(-2, 6),
     st.floats(-1, 6),
@@ -178,9 +238,59 @@ def test_partition_validation_matches_the_loops(given):
     assert got == outcome(reference_partition_parts, given)
 
 
+@settings(max_examples=200, deadline=None)
+@given(long_runs(), st.sampled_from(["none", "zero", "rise", "any"]), st.data())
+def test_long_runs_with_a_last_fault_match_the_loops(parts, last, data):
+    # a sorted prefix leaves the last part to decide: a 0, a rise, or any value PART draws
+    if last == "rise":
+        parts += ((parts or (0,))[-1] + 1,)
+    elif last != "none":
+        parts += (0 if last == "zero" else data.draw(PART),)
+    assert outcome(lambda: Partition(parts).parts) == outcome(reference_partition_parts, parts)
+
+
 @given(st.lists(st.integers(1, 9), max_size=8).map(lambda xs: tuple(sorted(xs, reverse=True))))
 def test_descending_parts_pass_and_keep_their_values(parts):
     assert Partition(parts).parts == reference_partition_parts(parts)
+
+
+def test_frobenius_matches_the_pointer_walk_up_to_20():
+    for la in partitions_up_to(20):
+        assert _frobenius(la) == reference_frobenius(la), la
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_runs())
+def test_frobenius_matches_the_pointer_walk_on_long_runs(parts):
+    la, conjugate = Partition(parts), Partition(_columns(parts))
+    assert _frobenius(la) == reference_frobenius(la)
+    assert _frobenius(conjugate) == reference_frobenius(conjugate) == reference_frobenius(la)[::-1]
+
+
+CORE_MODULI = (*range(2, 14), 101, 499, 997)
+
+
+@st.composite
+def d0_cores(draw) -> tuple[Partition, int]:
+    """p in CORE_MODULI and a `from_delta_lengths` core: a symmetric p-core as in `symmetric_pairs` in most draws,
+    a single arm on row 1 of a class whose row 0 is empty (no p-core), or a partition that is not self-conjugate."""
+    p = draw(st.sampled_from(CORE_MODULI))
+    kind = draw(st.sampled_from(["core", "core", "core", "no p-core", "not self-conjugate"]))
+    if kind == "not self-conjugate":
+        return draw(partitions(max_part=5, max_rows=5).filter(lambda la: la != la.conjugate())), p
+    if kind == "no p-core":
+        return from_delta_lengths([2 * (draw(st.integers(0, p - 1)) + p) + 1]), p
+    pair = st.integers(0, p // 2 - 1)  # r < p-1-r
+    classes = draw(st.lists(st.tuples(pair, st.booleans(), st.integers(1, 3)), max_size=3, unique_by=lambda t: t[0]))
+    arms = [(p - 1 - r if mirrored else r) + m * p for r, mirrored, rows in classes for m in range(rows)]
+    return from_delta_lengths(sorted((2 * a + 1 for a in arms), reverse=True)), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(d0_cores())
+def test_core_d0_counts_match_the_row_lists(core_and_p):
+    core, p = core_and_p
+    assert outcome(_core_d0, core, p) == outcome(reference_core_d0, core, p)
 
 
 @given(partitions(), st.integers(0, 5))
