@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .abacus import _rebuild, core_and_quotient, is_p_core, p_quotient, render_ascii
 from .bisequence import Bisequence, is_symmetric_p_core
@@ -22,12 +22,20 @@ from .verify import run_verify
 
 MAX_PARTS = 10**6  # parse_partition and --from-delta refuse more cells (and so more parts) before building anything
 MAX_N_MAX = 120  # verify refuses more: run_verify(120, (3,5,7)) checks 417,891 cells in 55 s (2-vCPU VM, Python 3.11)
+_json = json.JSONEncoder(check_circular=False).encode  # json.dumps' bytes; what --json prints is fresh, so has no cycles
 
 
-def _all_digits(tokens: list[str]) -> bool:
+def _digit_ints(tokens: list[str]) -> tuple[int, ...] | None:
     # str.isdigit alone accepts '²' and '３'; int() refuses a token of over 4300 digits, which a shorter join rules out
     s = "".join(tokens)
-    return s.isascii() and s.isdigit() and "" not in tokens and (len(s) <= 4300 or max(map(len, tokens)) <= 4300)
+    if s.isascii() and s.isdigit() and "" not in tokens and (len(s) <= 4300 or max(map(len, tokens)) <= 4300):
+        return tuple(map(int, tokens))
+
+
+def _per_distinct(read, texts: list[str]):
+    """read(texts), with read given each distinct text once, in first-seen order; a falsy result is kept as it is."""
+    got = read(distinct := list(dict.fromkeys(texts)))
+    return got if not got or len(got) == len(texts) else itemgetter(*texts)(dict(zip(distinct, got)))
 
 
 def parse_partition(text: str) -> Partition:
@@ -35,17 +43,17 @@ def parse_partition(text: str) -> Partition:
     text = text.strip()
     if not text:
         return _EMPTY
-    tokens = text.split(",")
-    stripped = tokens if (clean := _all_digits(tokens)) else list(map(str.strip, tokens))  # strip a refused line only
-    if (clean or _all_digits(stripped)) and sum(ints := tuple(map(int, stripped))) + ints.count(0) <= MAX_PARTS:
-        return Partition(ints)  # no exponent and within the bound: one int pass; the loop reports every refusal
+    stripped = tokens = text.split(",")  # a clean line is read as it is; only a refused one is stripped
+    ints = _per_distinct(_digit_ints, tokens) or _per_distinct(_digit_ints, stripped := list(map(str.strip, tokens)))
+    if ints and sum(ints) + ints.count(0) <= MAX_PARTS:
+        return Partition(ints)  # no exponent and within the bound; the loop reports every refusal
     parts: list[int] = []
     cells = pos = 0
     for token, plain in zip(tokens, stripped):
         base, caret, exp = plain.partition("^")
-        if not _all_digits([base]) or (caret and not _all_digits([exp])):
+        if not (read := _digit_ints([base, exp] if caret else [base])):
             raise BadPartitionSyntax(f"bad token {plain!r} at position {pos}")
-        part, count = int(base), int(exp) if caret else 1
+        part, count = read if caret else (*read, 1)
         cells += (part or 1) * count  # a part 0, which Partition refuses, counts as one cell so the list stays bounded
         if cells > MAX_PARTS:
             raise BadPartitionSyntax(f"token {plain!r} at position {pos} makes more than {MAX_PARTS} cells")
@@ -59,9 +67,9 @@ def parse_int_list(text: str) -> list[int]:
     pos = 0
     for token in text.split(","):
         stripped = token.strip()
-        if not _all_digits([stripped]):
+        if not (value := _digit_ints([stripped])):
             raise BadPartitionSyntax(f"bad integer {stripped!r} at position {pos}")
-        out.append(int(stripped))
+        out += value
         pos += len(token) + 1
     return out
 
@@ -84,7 +92,7 @@ def cmd_core(args) -> int:
     core, quotient = core_and_quotient(la, args.p)
     weights = list(map(sum, map(attrgetter("parts"), quotient)))
     if args.json:
-        print(json.dumps({
+        print(_json({
             "partition": list(la.parts),
             "p": args.p,
             "core": list(core.parts),
@@ -102,7 +110,7 @@ def cmd_quotient(args) -> int:
     la = parse_partition(args.partition)
     quotient = p_quotient(la, args.p)
     if args.json:
-        print(json.dumps({
+        print(_json({
             "partition": list(la.parts),
             "p": args.p,
             "quotient": [list(c.parts) for c in quotient],
@@ -115,7 +123,7 @@ def cmd_quotient(args) -> int:
 
 def cmd_delta(args) -> int:
     core = _input_partition(args.core, args.from_delta)
-    quotient = tuple(map(parse_partition, args.quotient))
+    quotient = _per_distinct(lambda texts: tuple(map(parse_partition, texts)), args.quotient)  # the line's first refusal
     p = args.p
     checked = delta_general(core, quotient, p)  # validates the pair once, before either route runs
     formula = checked if args.method in ("formula", "both") else None
@@ -126,7 +134,7 @@ def cmd_delta(args) -> int:
     conserved = shown.total == expected
     agree = (formula == oracle) if formula is not None and oracle is not None else None
     if args.json:
-        print(json.dumps({
+        print(_json({
             "core": list(core.parts),
             "quotient": list(map(attrgetter("parts"), quotient)),
             "p": p,
@@ -158,7 +166,7 @@ def cmd_check_core(args) -> int:
     by_hooks = is_p_core(la, args.p)
     agree = by_criterion == by_hooks
     if args.json:
-        print(json.dumps({
+        print(_json({
             "partition": list(la.parts),
             "p": args.p,
             "criterion": by_criterion,
@@ -187,7 +195,7 @@ def cmd_verify(args) -> int:
         raise BadModulus(f"--n-max {args.n_max} times the --primes sum {total} is above {MAX_N_MAX * 1000}")
     report = run_verify(args.n_max, args.moduli)
     if args.json:
-        print(json.dumps({
+        print(_json({
             "n_max": report.n_max,
             "primes": list(report.moduli),
             "cells": report.cells,

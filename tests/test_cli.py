@@ -456,6 +456,16 @@ class TestFailureReports:
         assert main(["quotient", "4,1,1,1", "--p", "3", "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"partition": [4, 1, 1, 1], "p": 3, "quotient": [[1], [], [1]]}
 
+
+# a p = 997 line with repeated component texts: three conjugate pairs, a self-conjugate center and 990 blank runners
+P997_TEXTS = [{0: "3,1", 1: "3,1", 2: "3,1", 498: "2,1", 994: "2,1,1", 995: "2,1,1", 996: "2,1,1"}.get(g, "")
+              for g in range(997)]
+P997_DELTA = ["delta", "--from-delta", "--core", "2015,1001,21", *[a for t in P997_TEXTS for a in ("--quotient", t)],
+              "--p", "997"]
+P997_PARTITION = ",".join(map(str, from_core_and_quotient(
+    from_delta_lengths((2015, 1001, 21)), tuple(map(parse_partition, P997_TEXTS)), 997).parts))
+
+
 class TestJsonRoundtrip:
     def test_core_output_feeds_delta(self, capsys):
         assert main(["core", "4,4,2,2", "--p", "3", "--json"]) == 0
@@ -467,6 +477,36 @@ class TestJsonRoundtrip:
         delta_data = json.loads(capsys.readouterr().out)
         assert delta_data["partition"] == core_data["partition"]
         assert delta_data["agree"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["core", "6,6,2", "--p", "3"],
+        ["core", "", "--p", "5"],
+        ["quotient", "4,1,1,1", "--p", "3"],
+        ["delta", "--core", "", *WEIGHT_190, "--p", "5", "--method", "formula"],
+        ["delta", "--from-delta", "--core", "1", "--quotient", "1", "--quotient", "", "--quotient", "1", "--p", "3"],
+        ["check-core", "3,1,1", "--p", "3"],
+        ["check-core", "--from-delta", "--p", "5", CORE_DELTA_TEXT],
+        ["verify", "--n-max", "6", "--primes", "3,5"],
+        P997_DELTA,
+        ["core", P997_PARTITION, "--p", "997"],
+    ], ids=["core", "core-empty", "quotient", "delta", "delta-from-delta", "check-core", "check-core-from-delta",
+            "verify", "delta-p997", "core-p997"])
+    def test_json_bytes_are_the_default_encoders(self, argv, capsys):
+        # the CLI encodes without the cycle check; on the fresh values it prints, the bytes are json.dumps'
+        assert main([*argv, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+
+class TestRepeatedQuotientTexts:
+    def test_the_first_refused_text_in_the_line_is_reported(self, capsys):
+        # refused texts repeat and interleave; whichever is read first, the one reported is the line's first
+        ys = [f"y{k}" for k in range(60)]
+        values = ["1", "x", "2,,1", "x", "", "2,,1", "3,4", *ys, "x", *ys[::-1], "2,,1", "", ""]  # one per runner
+        with pytest.raises(BadPartitionSyntax) as expected:
+            tuple(map(parse_partition, values))
+        assert main(["delta", *[a for v in values for a in ("--quotient", v)], "--p", str(len(values))]) == 2
+        assert capsys.readouterr().err == f"error: BadPartitionSyntax: {expected.value}\n"
 
 
 class TestExitCodes:
@@ -552,7 +592,8 @@ class TestEmptyRunnerLines:
     @pytest.mark.parametrize("p, core_lengths, components", [
         (5, CORE_DELTA_TEXT, ["6^2,2", "3", "2^2", "1^3", "3^2,2^4"]),
         (997, "2015,1001,21", {3: "3,1", 993: "2,1,1", 498: "2,1"}),
-    ], ids=["p5", "p997"])
+        (997, "2015,1001,21", P997_TEXTS),
+    ], ids=["p5", "p997", "p997-repeats"])
     def test_json_is_what_lists_would_give(self, p, core_lengths, components, capsys):
         # `json` writes the parts tuples as arrays: the output is the dump of the same dict built with lists
         texts = components if isinstance(components, list) else [components.get(g, "") for g in range(p)]

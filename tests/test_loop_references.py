@@ -6,8 +6,9 @@ rebuild moved only the beads of non-empty components, before the formula's
 pair loop wrote hook lengths through a trusted shift, before `young_hook`
 counted on the sorted beads, before `_frobenius` took each leg by bisection,
 before `_core_d0` counted arms by residue in place of taking the lengths of
-`_rows`' lists, or before a checked `Partition` decided by one sort test and
-the parser stripped only a refused line; a result must be the same value, and
+`_rows`' lists, before a checked `Partition` decided by one sort test and
+the parser stripped only a refused line, or before the parser read each
+distinct token once; a result must be the same value, and
 a refusal the same exception type and message. The conjugacy tests, which now
 compare a length with a first part before reading columns, are checked against
 the column reading alone. A bead set's `in`, which now bisects its sorted beads,
@@ -175,7 +176,11 @@ def reference_young_hook(x: BetaSet, hook) -> Hook:
 
 TOKEN_TEXT = st.text(alphabet=",^ 0123456789²３a", max_size=8)
 LONG_DIGITS = st.sampled_from(["1" * 4300, "1" * 4301, "0" * 4301, "2^" + "1" * 4301])
-PARSER_TEXT = st.lists(st.one_of(TOKEN_TEXT, TOKEN_TEXT, LONG_DIGITS), max_size=6).map(",".join)
+PARSER_TOKEN = st.one_of(TOKEN_TEXT, TOKEN_TEXT, LONG_DIGITS)
+PARSER_TEXT = st.one_of(  # free tokens, or tokens drawn again and again from a pool of up to three
+    st.lists(PARSER_TOKEN, max_size=6),
+    st.lists(PARSER_TOKEN, min_size=1, max_size=3).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=8)),
+).map(",".join)
 
 
 @settings(max_examples=400, deadline=None)
@@ -189,9 +194,23 @@ def test_parse_partition_matches_the_token_loop(text):
 @pytest.mark.parametrize("text", [
     "3,2,1", " 4 , 4 ,1", "10", "11", "5,5,1", "6,5", "0", "2,0", "1,2", "3,,1", "3,1,", "１,1", "3²",
     "1" * 4300, "1" * 4301, "9,9", "5,5,0", "9,0,0", "10^1", "1^10", "1^11", "0^11",
+    # repeated tokens, each distinct one read once: one value spelled several ways, a refusal before and after a
+    # good token, a repeated token too long for int()
+    "3,003, 3", "2, 2,02,2 ", "7,007, 7", "x,1,x", "３,1,３", "2,,1,,", "1,0,1,0", "1" * 4301 + ",1," + "1" * 4301,
+    ",".join(["1" * 4301] * 2), ",".join(["1" * 4300] * 2),
 ])
 def test_parse_partition_matches_the_token_loop_at_the_bounds(monkeypatch, text):
     monkeypatch.setattr(cli, "MAX_PARTS", 10)
+    assert outcome(parse_partition, text) == outcome(reference_parse_partition, text)
+
+
+@pytest.mark.parametrize("top, sep, last", [
+    (1413, ",", ""), (1413, " , ", ""), (1414, ",", ""), (1413, ",", ",x"), (1412, ",", ",1^2"),
+], ids=["within", "spaced", "over", "refused-last", "exponent-last"])
+def test_parse_partition_matches_the_token_loop_on_distinct_parts(top, sep, last):
+    # a line within the cell bound has at most 1,413 distinct parts: the staircase 1413..1 is its all-distinct worst
+    # case, 999,091 cells, and 1414..1 is over the bound
+    text = sep.join(map(str, range(top, 0, -1))) + last
     assert outcome(parse_partition, text) == outcome(reference_parse_partition, text)
 
 
