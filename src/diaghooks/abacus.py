@@ -8,7 +8,9 @@ deterministic.
 
 import enum
 import functools
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import neg, sub
 from typing import Sequence
 
 from .beta import BetaHook, BetaSet, _beads, _decoded, axis_of, beta_of
@@ -23,7 +25,7 @@ from .errors import (
     require_modulus,
     require_residue,
 )
-from .partitions import _EMPTY, Partition, _columns, _rows, _self_conjugate_arms
+from .partitions import _EMPTY, Partition, _columns, _frobenius, _rows, _self_conjugate_arms
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,17 @@ def p_quotient(la: Partition, p: int) -> tuple[Partition, ...]:
 def is_p_core(la: Partition, p: int) -> bool:
     """Direct check: no bead sits exactly p above a space."""
     p = require_modulus(p)
-    beads = set(_beads(la.parts, len(la.parts)))
-    return not any(b >= p and (b - p) not in beads for b in beads)
+    beads = _beads(la.parts, len(la.parts))  # descending: the beads >= p lead, and map stops after them
+    return set(beads).issuperset(map(sub, beads, (p,) * bisect_right(beads, -p, key=neg)))
+
+
+def _charges(la: Partition, p: int) -> list[int]:
+    """c_g = #{arms = g mod p} - #{legs = p-1-g mod p}: a layout of k beads, p | k, has k/p + c_g on runner g."""
+    charges = [0] * p
+    for leg, arm in zip(*_frobenius(la)):  # bead k + arm is on runner arm mod p, space k-1-leg on p-1-(leg mod p)
+        charges[arm % p] += 1
+        charges[-1 - leg % p] -= 1
+    return charges
 
 
 def _require_components(quotient: Sequence[Partition], p: int) -> None:
@@ -133,12 +144,12 @@ def is_symmetric_quotient(quotient: Sequence[Partition], p: int | None = None) -
 def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: int) -> Partition:
     """Rebuild the unique partition with the given p-core and p-quotient.
 
-    Inverse of (p_core, p_quotient). A p-core's runners are packed, so lay
-    the core out with enough spare full rows that each runner holds at least
-    as many beads as its component has parts; then on runner g a component
-    with parts q1 >= q2 >= ... moves the runner's top bead q1 rows up, the
-    next bead q2 rows up, and so on. Every other bead stays where the core
-    put it, and spare full rows encode nothing.
+    Inverse of (p_core, p_quotient). A p-core's runners are packed, so its
+    diagonal hooks give each runner's top bead (`_charges`). With enough spare
+    full rows that each runner holds as many beads as its component has parts,
+    a component with parts q1 >= q2 >= ... on runner g moves the runner's top
+    bead q1 rows up, the next bead q2 rows up, and so on. Every other bead
+    stays where the core put it, and spare full rows encode nothing.
     """
     p = require_modulus(p)
     quotient = _items(quotient)
@@ -150,9 +161,8 @@ def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: in
 def _rebuild(core: Partition, quotient: Sequence[Partition], p: int) -> Partition:
     """from_core_and_quotient on a pair already checked: a p-core and p components."""
     k = _canonical_bead_count(core, p)
-    tops = {b % p: b for b in reversed(_beads(core.parts, k))}  # ascending: each runner keeps its highest bead
-    # a p-core's runners are packed, so that bead is the runner's top; g - p (row -1) where the layout leaves it empty
-    moved = [(tops.get(g, g - p), c.parts) for g, c in enumerate(quotient) if c.parts]
+    charges = _charges(core, p)  # packed in a p-core, runner g's k/p + c_g beads top out at g + (k/p + c_g - 1)p
+    moved = [(g + k - p + charges[g] * p, c.parts) for g, c in enumerate(quotient) if c.parts]  # g - p if empty
     # a spare full row adds one bead to every runner and encodes nothing: add as many as the runners lack
     j = max([len(parts) - top // p - 1 for top, parts in moved] + [0])
     old, new = [], []

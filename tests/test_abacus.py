@@ -21,6 +21,7 @@ from diaghooks.abacus import (
     to_abacus,
 )
 from diaghooks.beta import BetaHook, BetaSet, axis_of, beta_of, partition_of, young_hook
+from diaghooks.beta import _beads
 from diaghooks.errors import (
     BadModulus,
     BadResidue,
@@ -32,6 +33,7 @@ from diaghooks.errors import (
     TooFewBeads,
     WrongQuotientLength,
 )
+from diaghooks.formula import _core_d0
 from diaghooks.partitions import Partition, _rows, all_hooks, from_delta_lengths
 
 P = Partition
@@ -160,6 +162,30 @@ class TestRebuild:
     def test_rejects_wrong_length(self):
         with pytest.raises(WrongQuotientLength):
             from_core_and_quotient(P(()), (P(()),) * 2, 3)
+
+
+class TestCharges:
+    """The charge c_g = #{arms = g} - #{legs = p-1-g} mod p of a p-core (Garvan, Kim and Stanton 1990)."""
+
+    CORES = [(core, p) for p in range(2, 12) for core in partitions_up_to(22) if is_p_core(core, p)]
+
+    def test_every_core_of_n_up_to_22(self):
+        assert len(self.CORES) == 8230
+        for core, p in self.CORES:
+            c = abacus._charges(core, p)
+            assert sum(c) == 0, (core, p)
+            assert 2 * core.weight == p * sum(x * x for x in c) + 2 * sum(g * x for g, x in enumerate(c)), (core, p)
+            symmetric = all(c[p - 1 - g] == -c[g] for g in range(p))
+            assert symmetric == core.is_symmetric, (core, p)
+            if symmetric:
+                assert _core_d0(core, p) == tuple(max(x, 0) for x in c), (core, p)
+
+    def test_runner_counts_match_the_dense_bucketing(self):
+        # with k beads, p | k, runner g holds k/p + c_g: the canonical layout bucketed by runner is the reference
+        for core, p in self.CORES:
+            k = abacus._canonical_bead_count(core, p)
+            rows = _rows(reversed(_beads(core.parts, k)), p)
+            assert [k // p + x for x in abacus._charges(core, p)] == list(map(len, rows)), (core, p)
 
 
 class TestSymmetricQuotient:

@@ -7,24 +7,32 @@ pair loop wrote hook lengths through a trusted shift, before `young_hook`
 counted on the sorted beads, before `_frobenius` took each leg by bisection,
 before `_core_d0` counted arms by residue in place of taking the lengths of
 `_rows`' lists, before a checked `Partition` decided by one sort test and
-the parser stripped only a refused line, or before the parser read each
-distinct token once; a result must be the same value, and
-a refusal the same exception type and message. The conjugacy tests, which now
+the parser stripped only a refused line, before the parser read each
+distinct token once, or before the rebuild read each moved runner's top off
+the core's charges in place of a dict over every core bead and `is_p_core`
+tested the beads >= p in builtin passes in place of a generator over every
+bead; a result must be the same value, and a refusal the same exception type
+and message. The conjugacy tests, which now
 compare a length with a first part before reading columns, are checked against
 the column reading alone. A bead set's `in`, which now bisects its sorted beads,
 is checked against a set of them, read under the integer rule.
 """
 
+import importlib
+import sys
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diaghooks
 from conftest import Index, bead_sets, partitions, partitions_up_to, symmetric_up_to
 from diaghooks import cli
 from diaghooks.abacus import (
     _canonical_bead_count,
+    _charges,
     _core_of,
     _rebuild,
     _require_core,
@@ -158,6 +166,23 @@ def reference_rebuild(core: Partition, quotient, p: int) -> Partition:
         else:
             beads.extend(range(g, g + (counts[g] + j) * p, p))
     return Partition(_parts(sorted(beads)))
+
+
+def reference_tops(core: Partition, p: int) -> list[int]:
+    tops = {b % p: b for b in reversed(_beads(core.parts, _canonical_bead_count(core, p)))}
+    return [tops.get(g, g - p) for g in range(p)]
+
+
+def charge_tops(core: Partition, p: int) -> list[int]:
+    """Each runner's top bead as `_rebuild` reads it: g + (k/p + c_g - 1)p, g - p on an empty runner."""
+    k = _canonical_bead_count(core, p)
+    return [g + k - p + c * p for g, c in enumerate(_charges(core, p))]
+
+
+def reference_is_p_core(la: Partition, p: int) -> bool:
+    p = require_modulus(p)
+    beads = set(_beads(la.parts, len(la.parts)))
+    return not any(b >= p and (b - p) not in beads for b in beads)
 
 
 def reference_is_symmetric_quotient(quotient) -> bool:
@@ -422,6 +447,61 @@ def test_rebuild_matches_the_runner_walk_at_large_p(p, long_runner):
     assert la == reference_rebuild(core, quotient, p)
     assert core_and_quotient(la, p) == (core, quotient)
     assert la.weight == core.weight + p * sum(q.weight for q in quotient)
+
+
+TOP_MODULI = (*range(2, 14), 97, 997)
+
+
+def test_tops_and_core_test_match_the_loops_up_to_20():
+    for p in TOP_MODULI:
+        cores = set()
+        for la in partitions_up_to(20):
+            assert is_p_core(la, p) == reference_is_p_core(la, p), (la, p)
+            cores.add(p_core(la, p))
+        for core in cores:
+            assert is_p_core(core, p) and reference_is_p_core(core, p), (core, p)
+            assert charge_tops(core, p) == reference_tops(core, p), (core, p)
+
+
+HUGE = 10**30
+
+
+@st.composite
+def tall_partitions(draw) -> Partition:
+    """A drawn partition whose first few rows may be 10**30 longer: a part as long as test_boundary's."""
+    parts = draw(partitions(max_part=24, max_rows=16)).parts
+    long_rows = draw(st.integers(0, len(parts)))
+    return Partition(tuple(part + HUGE if i < long_rows else part for i, part in enumerate(parts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tall_partitions(), st.one_of(st.integers(2, 13), st.sampled_from([97, 997])))
+def test_tops_and_core_test_match_the_loops(la, p):
+    core = p_core(la, p)
+    assert is_p_core(la, p) == reference_is_p_core(la, p)
+    assert is_p_core(core, p) and reference_is_p_core(core, p)
+    assert charge_tops(core, p) == reference_tops(core, p)
+
+
+def query_pairs(seed: int) -> list[tuple[Partition, tuple[Partition, ...], int]]:
+    """The core, quotient and p of each `delta` line of the benchmark's query schedule."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        del sys.path[0]
+    schedule = workloads.build(diaghooks, "query", seed)
+    return [(Partition(tuple(op[3]["core"])), tuple(Partition(tuple(c)) for c in op[3]["quotient"]), op[1])
+            for op in schedule if op[0] == "delta"]
+
+
+def test_tops_and_core_test_match_the_loops_on_the_query_cores():
+    pairs = query_pairs(1)
+    assert len(pairs) == 48
+    for core, quotient, p in pairs:
+        assert is_p_core(core, p) and reference_is_p_core(core, p), (core, p)
+        assert charge_tops(core, p) == reference_tops(core, p), (core, p)
+        assert _rebuild(core, quotient, p) == reference_rebuild(core, quotient, p), (core, p)
 
 
 def reference_shift(legs, arms, d0):
