@@ -25,7 +25,7 @@ from .errors import (
     require_modulus,
     require_residue,
 )
-from .partitions import _EMPTY, Partition, _columns, _frobenius, _rows, _self_conjugate_arms
+from .partitions import _EMPTY, Partition, _charges, _columns, _frobenius, _rows, _self_conjugate_arms
 
 
 @dataclass(frozen=True)
@@ -111,15 +111,6 @@ def is_p_core(la: Partition, p: int) -> bool:
     return set(beads).issuperset(map(sub, beads, (p,) * bisect_right(beads, -p, key=neg)))
 
 
-def _charges(la: Partition, p: int) -> list[int]:
-    """c_g = #{arms = g mod p} - #{legs = p-1-g mod p}: a layout of k beads, p | k, has k/p + c_g on runner g."""
-    charges = [0] * p
-    for leg, arm in zip(*_frobenius(la)):  # bead k + arm is on runner arm mod p, space k-1-leg on p-1-(leg mod p)
-        charges[arm % p] += 1
-        charges[-1 - leg % p] -= 1
-    return charges
-
-
 def _require_components(quotient: Sequence[Partition], p: int) -> None:
     if len(quotient) != p:
         raise WrongQuotientLength(f"expected {p} components, got {len(quotient)}")
@@ -161,7 +152,7 @@ def from_core_and_quotient(core: Partition, quotient: Sequence[Partition], p: in
 def _rebuild(core: Partition, quotient: Sequence[Partition], p: int) -> Partition:
     """from_core_and_quotient on a pair already checked: a p-core and p components."""
     k = _canonical_bead_count(core, p)
-    charges = _charges(core, p)  # packed in a p-core, runner g's k/p + c_g beads top out at g + (k/p + c_g - 1)p
+    charges = _charges(*_frobenius(core), p)  # packed in a p-core: runner g's top bead is g + (k/p + c_g - 1)p
     moved = [(g + k - p + charges[g] * p, c.parts) for g, c in enumerate(quotient) if c.parts]  # g - p if empty
     # a spare full row adds one bead to every runner and encodes nothing: add as many as the runners lack
     j = max([len(parts) - top // p - 1 for top, parts in moved] + [0])
@@ -203,8 +194,8 @@ def classify_p_hook(la: Partition, p: int, hook: BetaHook) -> PHookClass:
     right-of-axis hooks to arm cells, left-of-axis hooks to leg cells.
     """
     p = require_modulus(p)
-    _self_conjugate_arms(la)
-    if p_core(la, p):
+    arms = _self_conjugate_arms(la)
+    if any(_charges(arms, arms, p)):  # la's charges are its core's, and they fix it: only the empty core has none
         raise NonEmptyCore(f"{la} has a non-empty {p}-core")
     ab = to_abacus(la, p)
     y, b = _ints((hook.y, hook.x))

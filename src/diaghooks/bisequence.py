@@ -17,7 +17,7 @@ from .errors import (
     require_modulus,
     require_residue,
 )
-from .partitions import DeltaSet, Partition, _check_descending, _checked_frobenius, _frobenius, _rows
+from .partitions import DeltaSet, Partition, _charges, _check_descending, _checked_frobenius, _frobenius, _rows
 
 
 @dataclass(frozen=True)
@@ -163,11 +163,6 @@ def is_concentrated(d: Bisequence, p: int, residues: Iterable[int]) -> bool:
     return q.populated == frozenset(require_residue(g, q.p) for g in _items(residues))
 
 
-def _is_packed(rows: list[int]) -> bool:
-    """True when one residue class's rows, strictly decreasing and >= 0, are exactly r, ..., 1, 0: the first decides."""
-    return not rows or rows[0] == len(rows) - 1
-
-
 def is_gamma_packed(d: Bisequence, p: int, g: int) -> bool:
     """True when the residue-g diagonal values are exactly g, g+p, ..., g+r*p.
 
@@ -177,18 +172,20 @@ def is_gamma_packed(d: Bisequence, p: int, g: int) -> bool:
     arms = d._symmetric_arms()
     p = require_modulus(p)
     g = require_residue(g, p)
-    return _is_packed(_rows(arms, p)[g])
+    rows = [a // p for a in arms if a % p == g]  # distinct and descending: r, ..., 1, 0 exactly when the first is r
+    return not rows or rows[0] == len(rows) - 1
 
 
 def is_symmetric_p_core(d: Bisequence, p: int) -> bool:
     """Residue test for p-core-ness of the self-conjugate partition behind d.
 
-    The partition has no hook of length p exactly when every populated residue
-    class is fully packed and the mirrored class p-1-g is empty. Note the
-    centre residue of odd p is its own mirror, so it must be empty outright.
-    The arms are bucketed by residue in one pass.
+    The partition has no hook of length p exactly when every populated residue class is fully packed and
+    the mirrored class p-1-g is empty, so the centre class of odd p is empty. With n_g arms on runner g,
+    that is each arm's row below its runner's charge c_g = n_g - n_{p-1-g}: an arm on runner g needs
+    c_g >= 1, so the mirror class, of charge -c_g, holds no arm and c_g = n_g, whose n_g distinct rows
+    below n_g fill 0..n_g-1; the centre's charge is 0.
     """
     arms = d._symmetric_arms()
     p = require_modulus(p)
-    rows = _rows(arms, p)
-    return all(not r or (not rows[p - 1 - g] and _is_packed(r)) for g, r in enumerate(rows))
+    n = _charges((), arms, p)
+    return all(a // p < n[a % p] - n[-1 - a % p] for a in arms)

@@ -23,7 +23,7 @@ from .errors import (
     require_modulus,
     require_residue,
 )
-from .partitions import _EMPTY, DeltaSet, Partition, _check_descending, _frobenius, _self_conjugate_arms
+from .partitions import _EMPTY, DeltaSet, Partition, _charges, _check_descending, _frobenius, _self_conjugate_arms
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,7 @@ def _core_d0(core: Partition, p: int) -> tuple[int, ...]:
     """d0 as the core's diagonal arms counted by residue, for a checked modulus p; raises unless a symmetric p-core."""
     arms = _self_conjugate_arms(core)
     _require_core(core, p)
-    d0 = [0] * p
-    for a in arms:
-        d0[a % p] += 1
-    return tuple(d0)
+    return tuple(_charges((), arms, p))
 
 
 def shift_sets(legs: Sequence[int], d0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

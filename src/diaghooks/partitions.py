@@ -114,6 +114,17 @@ def _rows(beads: Iterable[int], p: int) -> list[list[int]]:
     return rows
 
 
+def _charges(legs: Iterable[int], arms: Iterable[int], p: int) -> list[int]:
+    """+1 on runner a mod p per arm a and -1 on runner p-1-(b mod p) per leg b. Of a partition's legs and arms these
+    are its charges c_g (Garvan, Kim and Stanton 1990): its layout of k beads, p | k, has k/p + c_g on runner g."""
+    charges = [0] * p
+    for a in arms:
+        charges[a % p] += 1
+    for b in legs:  # bead k + a is on runner a mod p, space k-1-b on p-1-(b mod p)
+        charges[-1 - b % p] -= 1
+    return charges
+
+
 def _self_conjugate_arms(la: Partition) -> tuple[int, ...]:
     """la's diagonal arms, from one Frobenius reading; raises NotSymmetric unless la is self-conjugate."""
     legs, arms = _frobenius(la)

@@ -1,8 +1,9 @@
 import pytest
 
 from conftest import Index, partitions_up_to, symmetric_up_to
-from diaghooks import abacus, bisequence, formula
-from diaghooks.abacus import is_p_core, p_core, p_quotient
+from diaghooks import abacus, bisequence, formula, partitions
+from diaghooks.abacus import classify_p_hook, is_p_core, p_core, p_quotient
+from diaghooks.beta import BetaHook
 from diaghooks.bisequence import (
     Bisequence,
     QuotientBisequence,
@@ -20,6 +21,7 @@ from diaghooks.errors import (
     BadResidue,
     InconsistentQuotient,
     LengthMismatch,
+    NonEmptyCore,
     NotStrictlyDecreasing,
     NotSymmetricBisequence,
 )
@@ -284,8 +286,8 @@ class TestOneBucketingRule:
         d = diagonal_bisequence(core)
         for owner, call, expected in (
             (bisequence, lambda: quotient_of(d, 5), 2),
-            (bisequence, lambda: is_symmetric_p_core(d, 5), 1),
-            (bisequence, lambda: is_gamma_packed(d, 5, 4), 1),
+            (bisequence, lambda: is_symmetric_p_core(d, 5), 0),
+            (bisequence, lambda: is_gamma_packed(d, 5, 4), 0),
         ):
             calls = count_calls(owner, "_rows")
             call()
@@ -293,6 +295,28 @@ class TestOneBucketingRule:
         # d0 counts the core's arms by residue with no row lists; the counts are the lengths of _rows' lists
         arms = tuple((length - 1) // 2 for length in CORE_DELTA)
         assert formula.core_counts(core, 5).d0 == tuple(map(len, _rows(arms, 5)))
+
+    def test_every_core_reader_counts_through_charges(self, count_calls):
+        # one count by residue: the criterion, d0, the rebuild's tops and the empty-core test all read _charges
+        assert abacus._charges is bisequence._charges is formula._charges is partitions._charges
+        core = from_delta_lengths(CORE_DELTA)
+        d = diagonal_bisequence(core)
+        quotient = (P((2, 1)), P(()), P(()), P(()), P((2, 1)))
+        cores = count_calls(abacus, "p_core")
+        for owner, call, expected in (
+            (bisequence, lambda: is_symmetric_p_core(d, 5), 1),
+            (bisequence, lambda: is_gamma_packed(d, 5, 4), 0),
+            (formula, lambda: formula._core_d0(core, 5), 1),
+            (abacus, lambda: abacus._rebuild(core, quotient, 5), 1),
+            (abacus, lambda: classify_p_hook(P((3, 2, 1)), 3, BetaHook(0, 3)), 1),
+        ):
+            calls = count_calls(owner, "_charges")
+            call()
+            assert len(calls) == expected
+        with pytest.raises(NonEmptyCore):
+            classify_p_hook(P((4, 1, 1, 1)), 3, BetaHook(0, 3))
+        assert len(calls) == 2  # classify_p_hook's count, one call more for the partition it refuses
+        assert cores == []  # its empty-core test lays out no core
 
     @pytest.mark.parametrize("p", [97, 997])
     def test_core_criterion_at_large_p(self, p):

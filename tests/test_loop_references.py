@@ -11,8 +11,11 @@ the parser stripped only a refused line, before the parser read each
 distinct token once, or before the rebuild read each moved runner's top off
 the core's charges in place of a dict over every core bead and `is_p_core`
 tested the beads >= p in builtin passes in place of a generator over every
-bead; a result must be the same value, and a refusal the same exception type
-and message. The conjugacy tests, which now
+bead, or before the residue criterion read each arm's row against its
+runner's charge and `is_gamma_packed` filtered its one class in place of
+`_rows`' p lists and `_is_packed`, and the charges took legs and arms in place
+of a partition; a result must be the same value, and a refusal the same
+exception type and message. The conjugacy tests, which now
 compare a length with a first part before reading columns, are checked against
 the column reading alone. A bead set's `in`, which now bisects its sorted beads,
 is checked against a set of them, read under the integer rule.
@@ -32,27 +35,29 @@ from conftest import Index, bead_sets, partitions, partitions_up_to, symmetric_u
 from diaghooks import cli
 from diaghooks.abacus import (
     _canonical_bead_count,
-    _charges,
     _core_of,
     _rebuild,
     _require_core,
+    classify_p_hook,
     core_and_quotient,
     is_p_core,
     is_symmetric_quotient,
     p_core,
     to_abacus,
 )
-from diaghooks.beta import BetaSet, _beads, _parts, beta_of, hooks_of, partition_of, young_hook
-from diaghooks.bisequence import QuotientEntry
+from diaghooks.beta import BetaHook, BetaSet, _beads, _parts, beta_of, hooks_of, partition_of, young_hook
+from diaghooks.bisequence import QuotientEntry, diagonal_bisequence, is_gamma_packed, is_symmetric_p_core
 from diaghooks.cli import parse_partition
 from diaghooks.errors import (
     BadPartitionSyntax,
     CenterResidue,
     EvenModulus,
     InternalInconsistency,
+    NonEmptyCore,
     NonMonotonic,
     NonPositivePart,
     NotACore,
+    NotAPHook,
     NotSymmetricQuotient,
     _as_int,
     _ints,
@@ -72,6 +77,7 @@ from diaghooks.partitions import (
     DeltaSet,
     Hook,
     Partition,
+    _charges,
     _columns,
     _frobenius,
     _rows,
@@ -176,7 +182,7 @@ def reference_tops(core: Partition, p: int) -> list[int]:
 def charge_tops(core: Partition, p: int) -> list[int]:
     """Each runner's top bead as `_rebuild` reads it: g + (k/p + c_g - 1)p, g - p on an empty runner."""
     k = _canonical_bead_count(core, p)
-    return [g + k - p + c * p for g, c in enumerate(_charges(core, p))]
+    return [g + k - p + c * p for g, c in enumerate(_charges(*_frobenius(core), p))]
 
 
 def reference_is_p_core(la: Partition, p: int) -> bool:
@@ -502,6 +508,94 @@ def test_tops_and_core_test_match_the_loops_on_the_query_cores():
         assert is_p_core(core, p) and reference_is_p_core(core, p), (core, p)
         assert charge_tops(core, p) == reference_tops(core, p), (core, p)
         assert _rebuild(core, quotient, p) == reference_rebuild(core, quotient, p), (core, p)
+
+
+def reference_charges(la: Partition, p: int) -> list[int]:
+    charges = [0] * p
+    for leg, arm in zip(*_frobenius(la)):
+        charges[arm % p] += 1
+        charges[-1 - leg % p] -= 1
+    return charges
+
+
+def reference_is_packed(rows: list[int]) -> bool:
+    return not rows or rows[0] == len(rows) - 1
+
+
+def reference_is_gamma_packed(d, p, g) -> bool:
+    arms = d._symmetric_arms()
+    p = require_modulus(p)
+    g = require_residue(g, p)
+    return reference_is_packed(_rows(arms, p)[g])
+
+
+def reference_is_symmetric_p_core(d, p) -> bool:
+    arms = d._symmetric_arms()
+    p = require_modulus(p)
+    rows = _rows(arms, p)
+    return all(not r or (not rows[p - 1 - g] and reference_is_packed(r)) for g, r in enumerate(rows))
+
+
+def assert_residue_readings_match(la: Partition, p: int) -> None:
+    """The criterion, the packing of each g < min(p, 14) and of each arm's class and its mirror, and the charges."""
+    d = diagonal_bisequence(la)
+    assert outcome(is_symmetric_p_core, d, p) == outcome(reference_is_symmetric_p_core, d, p), (la, p)
+    for g in {*range(min(p, 14)), *(a % p for a in d.arms), *(p - 1 - a % p for a in d.arms)}:
+        assert outcome(is_gamma_packed, d, p, g) == outcome(reference_is_gamma_packed, d, p, g), (la, p, g)
+    assert _charges(*_frobenius(la), p) == reference_charges(la, p), (la, p)
+
+
+RESIDUE_MODULI = (*range(2, 14), 97, 997)
+
+
+def test_residue_readings_match_the_row_lists_up_to_40():
+    for la in symmetric_up_to(40):
+        for p in RESIDUE_MODULI:
+            assert_residue_readings_match(la, p)
+            assert is_symmetric_p_core(diagonal_bisequence(la), p) == is_p_core(la, p), (la, p)
+
+
+@st.composite
+def residue_partitions(draw) -> tuple[Partition, int]:
+    """p <= 997 and a `from_delta_lengths` partition with arms below 3p: free arms, or classes packed from row 0 on
+    drawn runners, a p-core unless two of them are mirrors or one is the centre; now and then not self-conjugate."""
+    p = draw(st.one_of(st.integers(2, 13), st.integers(2, 997)))
+    kind = draw(st.sampled_from(["free", "packed", "packed", "not self-conjugate"]))
+    if kind == "not self-conjugate":
+        return draw(partitions(max_part=5, max_rows=5).filter(lambda la: la != la.conjugate())), p
+    if kind == "free":
+        arms = draw(st.sets(st.integers(0, 3 * p - 1), max_size=6))
+    else:
+        classes = draw(st.dictionaries(st.integers(0, p - 1), st.integers(1, 3), max_size=3))
+        arms = {g + m * p for g, rows in classes.items() for m in range(rows)}
+    return from_delta_lengths(sorted((2 * a + 1 for a in arms), reverse=True)), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_partitions())
+def test_residue_readings_match_the_row_lists(drawn):
+    la, p = drawn
+    assert_residue_readings_match(la, p)
+    if la.is_symmetric:
+        assert is_symmetric_p_core(diagonal_bisequence(la), p) == is_p_core(la, p)
+
+
+def test_residue_readings_match_the_row_lists_on_the_query_cores():
+    for core, _, p in query_pairs(1):
+        assert_residue_readings_match(core, p)
+        assert is_symmetric_p_core(diagonal_bisequence(core), p)
+
+
+def test_classify_refuses_exactly_the_non_empty_cores():
+    for la in symmetric_up_to(30):
+        for p in range(2, 8):
+            beads = to_abacus(la, p).beads
+            hooks = [BetaHook(b - p, b) for b in beads.beads if b >= p and b - p not in beads]
+            got = outcome(classify_p_hook, la, p, (hooks or [BetaHook(0, p)])[0])
+            if p_core(la, p).parts:
+                assert got[:2] == ("error", NonEmptyCore), (la, p)
+            else:  # the empty partition has no hook of length p
+                assert got[0] == "value" if la.parts else got[:2] == ("error", NotAPHook), (la, p)
 
 
 def reference_shift(legs, arms, d0):
