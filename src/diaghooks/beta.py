@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bisequence import Bisequence
 from .errors import MAX_P, InvalidBetaSet, NotAPHook, TooFewBeads, _as_int, _ints, _items
-from .partitions import Hook, Partition
+from .partitions import Hook, Partition, _frobenius
 
 
 @dataclass(frozen=True)
@@ -168,26 +168,23 @@ def axis_of(x: BetaSet) -> Axis:
 def plus_minus(x: BetaSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Beads right of the axis (descending) and spaces left of it (ascending).
 
-    The two lists always have equal length; paired entries differ by one plus
-    the leg and arm of the corresponding diagonal hook.
+    The two lists always have equal length; paired entries differ by one plus the leg and arm of the corresponding
+    diagonal hook: at the axis k - 1/2 of k beads, the rows' arm a is the bead k + a and their leg b the space k-1-b.
     """
-    ax = axis_of(x)
-    plus = tuple(b for b in reversed(x.beads) if ax.is_right(b))
-    minus = tuple(y for y in range(ax.last_left + 1) if y not in x)
-    return plus, minus
+    k, (legs, arms) = len(x.beads), _frobenius(_decoded(x.beads))
+    return tuple(k + a for a in arms), tuple(k - 1 - b for b in legs)
 
 
 def bisequence_of(x: BetaSet) -> Bisequence:
     """Diagonal legs k - 1 - y per space y < k and arms b - k per bead b >= k: read at the axis k - 1/2 of k beads."""
-    k = len(x.beads)
-    plus, minus = plus_minus(x)
-    return Bisequence(tuple(k - 1 - y for y in minus), tuple(b - k for b in plus))
+    return Bisequence(*_frobenius(_decoded(x.beads)))
 
 
 def is_symmetric_beta(x: BetaSet) -> bool:
     """True when reflecting through the axis swaps beads and spaces.
 
-    Positions below 0 count as beads, so the reflection swaps them exactly
-    when it maps the beads right of the axis onto the spaces left of it.
+    Positions below 0 count as beads, so the reflection swaps them exactly when it maps the beads right of the axis
+    onto the spaces left of it, each bead k + a onto the space k - 1 - a: when the rows' legs are their arms.
     """
-    return bisequence_of(x).is_symmetric
+    legs, arms = _frobenius(_decoded(x.beads))
+    return legs == arms

@@ -18,7 +18,9 @@ of a partition; a result must be the same value, and a refusal the same
 exception type and message. The conjugacy tests, which now
 compare a length with a first part before reading columns, are checked against
 the column reading alone. A bead set's `in`, which now bisects its sorted beads,
-is checked against a set of them, read under the integer rule.
+is checked against a set of them, read under the integer rule. The bead-string
+readers, which now relabel the rows' Frobenius coordinates at the axis, are
+checked against the scan of the positions below the axis that they replaced.
 """
 
 import importlib
@@ -32,7 +34,7 @@ from hypothesis import strategies as st
 
 import diaghooks
 from conftest import Index, bead_sets, partitions, partitions_up_to, symmetric_up_to
-from diaghooks import cli
+from diaghooks import beta, cli
 from diaghooks.abacus import (
     _canonical_bead_count,
     _core_of,
@@ -45,8 +47,21 @@ from diaghooks.abacus import (
     p_core,
     to_abacus,
 )
-from diaghooks.beta import BetaHook, BetaSet, _beads, _parts, beta_of, hooks_of, partition_of, young_hook
-from diaghooks.bisequence import QuotientEntry, diagonal_bisequence, is_gamma_packed, is_symmetric_p_core
+from diaghooks.beta import (
+    BetaHook,
+    BetaSet,
+    _beads,
+    _parts,
+    axis_of,
+    beta_of,
+    bisequence_of,
+    hooks_of,
+    is_symmetric_beta,
+    partition_of,
+    plus_minus,
+    young_hook,
+)
+from diaghooks.bisequence import Bisequence, QuotientEntry, diagonal_bisequence, is_gamma_packed, is_symmetric_p_core
 from diaghooks.cli import parse_partition
 from diaghooks.errors import (
     BadPartitionSyntax,
@@ -423,6 +438,48 @@ def test_membership_matches_the_set(x):
     positions = range(-2, x.max_bead + 3)
     for pos in (*positions, *map(Index, positions), True, False, 1.0, "a", None):
         assert (pos in x) == reference_contains(x, pos), pos
+
+
+def reference_plus_minus(x: BetaSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    ax = axis_of(x)
+    plus = tuple(b for b in reversed(x.beads) if ax.is_right(b))
+    minus = tuple(y for y in range(ax.last_left + 1) if y not in x)
+    return plus, minus
+
+
+def reference_bisequence_of(x: BetaSet) -> Bisequence:
+    k = len(x.beads)
+    plus, minus = reference_plus_minus(x)
+    return Bisequence(tuple(k - 1 - y for y in minus), tuple(b - k for b in plus))
+
+
+def assert_bead_readers_match(x: BetaSet) -> None:
+    reference = reference_bisequence_of(x)
+    assert plus_minus(x) == reference_plus_minus(x), x
+    assert bisequence_of(x) == reference, x
+    assert is_symmetric_beta(x) == reference.is_symmetric, x
+
+
+def test_bead_readers_match_the_scan_below_14():
+    for mask in range(2 ** 14):  # every bead set with positions below 14
+        assert_bead_readers_match(BetaSet(tuple(pos for pos in range(14) if mask >> pos & 1)))
+
+
+@settings(max_examples=200)
+@given(bead_sets(), st.integers(0, 4))
+def test_bead_readers_match_the_scan(x, steps):
+    assert_bead_readers_match(x.shifted(steps))
+
+
+@pytest.mark.parametrize("reader", [plus_minus, bisequence_of, is_symmetric_beta], ids=lambda f: f.__name__)
+def test_bead_readers_read_the_rows_once(count_calls, reader):
+    x = BetaSet((0, 2, 3, 6, 9, 10))
+    readings = count_calls(beta, "_frobenius")
+    encodings = count_calls(BetaSet, "__post_init__")
+    bisequences = count_calls(Bisequence, "__post_init__")
+    reader(x)
+    assert (len(readings), len(encodings)) == (1, 0)
+    assert len(bisequences) == (reader is bisequence_of)
 
 
 LONG_COMPONENT = st.one_of(st.just(_EMPTY), partitions(max_part=3, max_rows=3), partitions(max_part=2, max_rows=12))
